@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySpectrum, NonPositiveEigenvalue, OutOfRegime
-from .linalg import as_matrix, gram, rank_tolerance, sym_eigenvalues
+from .linalg import gram_spectrum
 
 # lam_1 and lam_t closer than this (relative) are treated as an equal
 # spectrum, where beta is 1 and the bound formulas short-circuit.
@@ -74,11 +74,7 @@ def spectrum_of(a) -> SpectrumInfo:
     Gram eigenvalues at or below the squared rank tolerance are dropped so
     the rank seen here matches the rank the selector uses.
     """
-    arr = as_matrix(a)
-    tol = rank_tolerance(arr)
-    side = "columns" if arr.shape[1] <= arr.shape[0] else "rows"
-    eigs = sym_eigenvalues(gram(arr, by=side))
-    eigs = eigs[eigs > tol * tol]
+    eigs, _ = gram_spectrum(a)
     if eigs.size == 0:
         raise EmptySpectrum("matrix has numerical rank zero")
     return spectrum_info(eigs)

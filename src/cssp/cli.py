@@ -280,7 +280,8 @@ def _add_io_arguments(sub, need_k=True, instance_only=False):
                      help="root approximation tolerance (default 1e-9)")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sub.add_argument("--threads", type=_parse_threads, default=1,
-                     help="worker threads, or 'auto'")
+                     help="worker threads for verify's exhaustive search, or 'auto'; "
+                          "selection ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:

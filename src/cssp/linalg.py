@@ -89,26 +89,42 @@ def sym_eigenvalues(m, max_sweeps: int = 100) -> np.ndarray:
     raise NoConvergence(f"Jacobi sweeps did not converge in {max_sweeps} sweeps")
 
 
+def gram_spectrum(a) -> tuple[np.ndarray, float]:
+    """Positive Gram spectrum and rank cutoff of a matrix: (eigs, tol).
+
+    eigs holds the eigenvalues of A^T A above tol**2, descending;
+    tol = max(n, d) * eps * ||A||_2 is the numerical-rank cutoff for
+    directions.  The singular values of A come from LAPACK eigvalsh on the
+    Jordan-Wielandt matrix [[0, A], [A^T, 0]], whose eigenvalues are plus
+    and minus the singular values and |n - d| zeros.  That gets them to
+    about eps * ||A||_2, so the cutoff separates rank from noise; Gram
+    eigenvalues are accurate only to eps * ||A||_2**2 and would count noise
+    as rank.
+    """
+    arr = as_matrix(a)
+    n, d = arr.shape
+    jordan = np.zeros((n + d, n + d))
+    jordan[:n, n:] = arr
+    jordan[n:, :n] = arr.T
+    sigma = np.maximum(np.linalg.eigvalsh(jordan)[::-1][: min(n, d)], 0.0)
+    tol = max(n, d) * MACHINE_EPS * float(sigma[0])
+    eigs = sigma * sigma
+    return eigs[eigs > tol * tol], tol
+
+
 def spectral_norm_sq(a) -> float:
     """Largest eigenvalue of A^T A (the squared spectral norm)."""
-    arr = as_matrix(a)
-    side = "columns" if arr.shape[1] <= arr.shape[0] else "rows"
-    top = float(sym_eigenvalues(gram(arr, by=side))[0])
-    return max(top, 0.0)
+    eigs, _ = gram_spectrum(a)
+    return float(eigs[0]) if eigs.size else 0.0
 
 
 def rank_tolerance(a) -> float:
     """Numerical-rank cutoff for directions: max(n, d) * eps * ||A||_2."""
-    arr = as_matrix(a)
-    return max(arr.shape) * MACHINE_EPS * float(np.sqrt(spectral_norm_sq(arr)))
+    return gram_spectrum(a)[1]
 
 
 def numerical_rank(a) -> int:
-    arr = as_matrix(a)
-    tol = rank_tolerance(arr)
-    side = "columns" if arr.shape[1] <= arr.shape[0] else "rows"
-    eigs = sym_eigenvalues(gram(arr, by=side))
-    return int(np.count_nonzero(eigs > tol * tol))
+    return int(gram_spectrum(a)[0].size)
 
 
 def _householder_tridiagonal(m: np.ndarray):
@@ -220,5 +236,4 @@ def residual_spectral_sq(a, subset=()) -> float:
     """
     arr = as_matrix(a)
     q = complement_projector(arr, subset)
-    m = symmetrize(arr.T @ q @ arr)
-    return max(float(sym_eigenvalues(m)[0]), 0.0)
+    return max(float(np.linalg.eigvalsh(symmetrize(arr.T @ q @ arr))[-1]), 0.0)

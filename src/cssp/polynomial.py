@@ -32,13 +32,22 @@ class RootApprox(NamedTuple):
     epsilon: float
 
 
-def as_poly(c) -> np.ndarray:
-    """Validate and convert ``c`` to a 1-D float coefficient array."""
+def _as_polys(c) -> np.ndarray:
+    """Validate and convert ``c`` to float coefficients along the last axis;
+    leading axes, if any, index a batch of polynomials."""
     arr = np.atleast_1d(np.asarray(c, dtype=float))
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("polynomial must be a nonempty 1-D coefficient array")
+    if arr.shape[-1] == 0:
+        raise ValueError("polynomial must have at least one coefficient")
     if not np.all(np.isfinite(arr)):
         raise ValueError("polynomial coefficients must be finite")
+    return arr
+
+
+def as_poly(c) -> np.ndarray:
+    """Validate and convert ``c`` to a 1-D float coefficient array."""
+    arr = _as_polys(c)
+    if arr.ndim != 1:
+        raise ValueError("polynomial must be a nonempty 1-D coefficient array")
     return arr
 
 
@@ -51,14 +60,17 @@ def flip(c) -> np.ndarray:
 
 
 def derivative(c, k: int = 1) -> np.ndarray:
-    """k-th formal derivative.  The nominal degree drops by k (floor at 0)."""
+    """k-th formal derivative.  The nominal degree drops by k (floor at 0).
+
+    A 2-D input is a batch with one polynomial per row.
+    """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    p = as_poly(c)
+    p = _as_polys(c)
     for _ in range(k):
-        if p.size == 1:
-            return np.zeros(1)
-        p = p[1:] * np.arange(1, p.size, dtype=float)
+        if p.shape[-1] == 1:
+            return np.zeros_like(p)
+        p = p[..., 1:] * np.arange(1, p.shape[-1], dtype=float)
     return p
 
 
@@ -71,21 +83,35 @@ def polar_power(c, k: int) -> np.ndarray:
     result keeps nominal degree d; its k lowest coefficients are zero.
 
     For an input with exactly t nonzero roots the result is identically zero
-    iff k >= t + 1.
+    iff k >= t + 1.  A 2-D input is a batch with one polynomial per row.
     """
-    p = as_poly(c)
+    p = _as_polys(c)
     if k < 0:
         raise ValueError("operator power must be nonnegative")
-    d = p.size - 1
     if k == 0:
         return p.copy()
-    g = derivative(p[::-1], k)
-    out = np.zeros(d + 1)
-    out[: g.size] = g
-    out = out[::-1]
+    g = derivative(p[..., ::-1], k)
+    out = np.zeros_like(p)
+    out[..., : g.shape[-1]] = g
+    out = out[..., ::-1]
     if k % 2:
         out = -out
     return out
+
+
+def from_roots(roots, degree: int) -> np.ndarray:
+    """Monic polynomial with the given roots, times the power of x that
+    lifts it to nominal degree ``degree``; one polynomial per row of a 2-D
+    ``roots``.  With nonnegative roots the coefficients alternate in sign,
+    so no step of the product cancels."""
+    roots = np.atleast_2d(np.asarray(roots, dtype=float))
+    coef = np.zeros((roots.shape[0], degree + 1))
+    coef[:, degree - roots.shape[1]] = 1.0
+    for r in roots.T:
+        shifted = np.zeros_like(coef)
+        shifted[:, 1:] = coef[:, :-1]
+        coef = shifted - r[:, None] * coef
+    return coef
 
 
 def poly_eval(c, x: float) -> float:
@@ -281,26 +307,53 @@ def _chain_matrix(chain: list[np.ndarray]) -> np.ndarray:
     return mat
 
 
-def _sign_variations(values: np.ndarray) -> int:
+def _sign_variations(values: np.ndarray) -> np.ndarray:
+    """Sign changes along the last axis, zeros skipped."""
     signs = np.sign(values)
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    # Carry the last nonzero sign forward over zeros; a change is a step
+    # between two different carried signs after the first nonzero one.
+    last = np.where(signs != 0, np.arange(signs.shape[-1]), 0)
+    np.maximum.accumulate(last, axis=-1, out=last)
+    carried = np.take_along_axis(signs, last, axis=-1)
+    before, after = carried[..., :-1], carried[..., 1:]
+    return np.count_nonzero((before != after) & (before != 0), axis=-1)
 
 
-def _variations_at(mat: np.ndarray, x: float) -> int:
-    # Horner across the whole chain at once.  Rows nearing overflow are
-    # squashed to unit magnitude individually; that preserves their sign,
-    # because the squash can only trigger when |x| > 1 > |coefficients|,
-    # so the x-term keeps dominating the next Horner step.
-    vals = mat[:, -1].copy()
-    for j in range(mat.shape[1] - 2, -1, -1):
-        vals = vals * x + mat[:, j]
+def _stack(mats: list[np.ndarray]) -> np.ndarray:
+    """Zero-padded (coefficient, polynomial, row) stack of chain matrices.
+
+    Padding the high coefficients with zeros leaves every Horner value
+    bit-identical (the padded steps compute 0 * x + 0), and zero padding
+    rows evaluate to 0, which sign-variation counts skip.
+    """
+    width = max(m.shape[1] for m in mats)
+    stack = np.zeros((width, len(mats), max(m.shape[0] for m in mats)))
+    for i, m in enumerate(mats):
+        stack[: m.shape[1], i, : m.shape[0]] = m.T
+    return stack
+
+
+def _variations(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sign variations of each stacked sequence at its own point x[i].
+
+    Horner across every row of every polynomial at once.  Rows nearing
+    overflow are squashed to unit magnitude individually; that preserves
+    their sign, because the squash can only trigger when |x| > 1 >
+    |coefficients|, so the x-term keeps dominating the next Horner step.
+    """
+    vals = stack[-1].copy()
+    xs = np.asarray(x, dtype=float)[:, None]
+    for col in stack[-2::-1]:
+        vals *= xs
+        vals += col
         big = np.abs(vals) > _HORNER_RESCALE
         if big.any():
             vals[big] /= np.abs(vals[big])
     return _sign_variations(vals)
+
+
+def _variations_at(mat: np.ndarray, x: float) -> int:
+    return int(_variations(_stack([mat]), [x])[0])
 
 
 def sturm_count(c, lo: float, hi: float) -> int:
@@ -325,28 +378,86 @@ def cauchy_bound(c) -> float:
     return 1.0 + float(np.max(np.abs(p[:-1] / p[-1])))
 
 
-def _bisect_root(mat, lo, hi, eps, largest, abort_above=None):
-    """Shrink (lo, hi] around the extreme root already known to lie inside."""
+def _bisect_smallest(mat, lo, hi, eps):
+    """Shrink (lo, hi] around the smallest root already known to lie inside."""
     v_lo = _variations_at(mat, lo)
-    v_hi = _variations_at(mat, hi)
     while hi - lo > eps:
-        if abort_above is not None and lo > abort_above:
-            return None
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval at float resolution
         v_mid = _variations_at(mat, mid)
-        if largest:
-            if v_mid - v_hi >= 1:
-                lo = mid  # a root survives in (mid, hi]
-            else:
-                hi, v_hi = mid, v_mid
+        if v_lo - v_mid >= 1:
+            hi = mid  # a root survives in (lo, mid]
         else:
-            if v_lo - v_mid >= 1:
-                hi = mid  # a root survives in (lo, mid]
-            else:
-                lo, v_lo = mid, v_mid
+            lo, v_lo = mid, v_mid
     return 0.5 * (lo + hi)
+
+
+def maxroots(polys, eps: float, hi: float | None = None,
+             abort_above: float | None = None, tie: float | None = None) -> list:
+    """Largest roots of a batch of real-rooted polynomials, bisected in lockstep.
+
+    Each polynomial is handled exactly as :func:`maxroot` handles it alone:
+    its own variable scale, derivative (Budan-Fourier) sequence, Cauchy
+    bound, ``hi`` cap and bisection bracket, so a returned value is
+    bit-identical to the one-at-a-time value.  Every step evaluates all
+    unfinished polynomials in one Horner pass.
+
+    An entry is None when its polynomial was pruned: once the lower end of
+    its bracket exceeds ``abort_above``, as in :func:`maxroot`, or, when
+    ``tie`` is given, exceeds ``abort_above`` or the upper end of any
+    unpruned bracket in the batch by more than ``tie``.  A pruned root is
+    then more than ``tie`` above the smallest result.  Raises NoRootInRange
+    as :func:`maxroot` does, for the first such polynomial in batch order.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    prepared = [_prepare(c) for c in polys]
+    sub = _stack([_fourier_matrix(q) for q, _, _ in prepared])
+    s = np.array([scale for _, _, scale in prepared])
+    upper = np.array([cauchy_bound(q) for q, _, _ in prepared])
+    v_hi = _variations(sub, upper)
+    if hi is not None:
+        cap = hi / s
+        v_cap = _variations(sub, cap)
+        # the supplied bound caps the roots where no root lies above it
+        use = (cap < upper) & (v_cap <= v_hi)
+        upper = np.where(use, cap, upper)
+        v_hi = np.where(use, v_cap, v_hi)
+    empty = _variations(sub, np.zeros(s.size)) - v_hi < 1
+    for i in np.flatnonzero(empty):
+        if not prepared[i][1]:
+            raise NoRootInRange("no root in [0, %g]" % (upper[i] * s[i]))
+    # a root exactly at the origin is reported as 0
+    lo = np.zeros(s.size)
+    top = np.where(empty, 0.0, upper)
+    width = eps / s
+    pruned = np.zeros(s.size, dtype=bool)
+    live = np.flatnonzero(~empty)
+    if empty.any():
+        sub = sub[:, live]
+    while live.size:
+        bar = np.inf if abort_above is None else abort_above
+        if tie is not None:
+            bar = min(bar, float(np.min(top[~pruned] * s[~pruned]))) + tie
+        lo_l, top_l = lo[live], top[live]
+        mid = 0.5 * (lo_l + top_l)
+        open_ = top_l - lo_l > width[live]
+        cut = open_ & (lo_l * s[live] > bar)
+        pruned[live[cut]] = True
+        # converged, pruned, or at float resolution: the bracket is final
+        go = open_ & ~cut & (mid > lo_l) & (mid < top_l)
+        if not go.all():
+            live, mid, sub = live[go], mid[go], sub[:, go]
+            if not live.size:
+                break
+        v_mid = _variations(sub, mid)
+        up = v_mid - v_hi[live] >= 1  # a root survives in (mid, top]
+        lo[live] = np.where(up, mid, lo[live])
+        top[live] = np.where(up, top[live], mid)
+        v_hi[live] = np.where(up, v_hi[live], v_mid)
+    values = 0.5 * (lo + top) * s
+    return [None if cut_i else RootApprox(float(v), eps) for v, cut_i in zip(values, pruned)]
 
 
 def maxroot(c, eps: float, hi: float | None = None, abort_above: float | None = None):
@@ -362,25 +473,10 @@ def maxroot(c, eps: float, hi: float | None = None, abort_above: float | None = 
     ``hi`` may supply a cheaper known upper bound on the largest root.
     ``abort_above`` stops refinement once the root is provably above that
     value and returns None; used to prune losing candidates in the greedy
-    selection loop without affecting which candidate wins.
+    selection loop without affecting which candidate wins.  This is
+    :func:`maxroots` on a batch of one.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    q, zero_root, s = _prepare(c)
-    mat = _fourier_matrix(q)
-    upper = cauchy_bound(q)
-    if hi is not None and hi / s < upper:
-        if sturm_count_chain(mat, hi / s, upper) == 0:
-            upper = hi / s  # the supplied bound really does cap the roots
-    if _variations_at(mat, 0.0) - _variations_at(mat, upper) < 1:
-        if zero_root:
-            return RootApprox(0.0, eps)
-        raise NoRootInRange("no root in [0, %g]" % (upper * s))
-    value = _bisect_root(mat, 0.0, upper, eps / s, largest=True,
-                         abort_above=None if abort_above is None else abort_above / s)
-    if value is None:
-        return None
-    return RootApprox(float(value * s), eps)
+    return maxroots([c], eps, hi=hi, abort_above=abort_above)[0]
 
 
 def minroot(c, eps: float):
@@ -392,10 +488,5 @@ def minroot(c, eps: float):
     upper = cauchy_bound(q)
     if _variations_at(mat, 0.0) - _variations_at(mat, upper) < 1:
         raise NoRootInRange("no positive root in (0, %g]" % (upper * s))
-    value = _bisect_root(mat, 0.0, upper, eps / s, largest=False)
+    value = _bisect_smallest(mat, 0.0, upper, eps / s)
     return RootApprox(float(value * s), eps)
-
-
-def sturm_count_chain(mat: np.ndarray, lo: float, hi: float) -> int:
-    """Root count in (lo, hi] for a prebuilt chain matrix."""
-    return max(0, _variations_at(mat, lo) - _variations_at(mat, hi))

@@ -3,31 +3,29 @@
 Each iteration scores every admissible candidate column by the largest root
 of the polynomial obtained from the candidate's post-selection
 characteristic polynomial under the polar-type operator, then keeps the
-column with the smallest root approximation.  Ties go to the smallest
+column with the smallest root approximation.  Scores within a few rounding
+units of the iteration's minimum count as tied, and ties go to the smallest
 column index, so identical inputs always produce identical subsets.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllCandidatesDegenerate, DegenerateDirection, RankExceeded
 from .linalg import (
+    MACHINE_EPS,
     as_matrix,
-    char_poly,
     gram,
+    gram_spectrum,
     projector_update,
     rank_tolerance,
     residual_spectral_sq,
-    spectral_norm_sq,
-    sym_eigenvalues,
-    symmetrize,
 )
-from .polynomial import RootApprox, maxroot, polar_power
+from .polynomial import RootApprox, from_roots, maxroot, maxroots, polar_power
 
 DEFAULT_EPS = 1e-9
 
@@ -37,6 +35,17 @@ DEFAULT_EPS = 1e-9
 # runtime tripwire only flags gross violations; the test suite asserts the
 # chain tightly on well-conditioned instances.
 _CHAIN_SLACK = 0.05
+
+# Bytes of stacked downdated matrices scored at once.  Candidates are scored
+# in index-ordered blocks of this size, which bounds peak memory whatever the
+# number of columns (8 candidates at dimension 64).
+_BLOCK_BYTES = 256 * 1024
+
+# Scores within this many rounding units of the largest possible score are
+# tied.  Candidates that are equal in exact arithmetic (symmetric columns)
+# differ by rounding alone, so a tie rule makes the smallest-index choice
+# hold by construction rather than by luck.
+_TIE_ULPS = 4.0
 
 
 @dataclass
@@ -87,38 +96,48 @@ def initial_state(a, route: str = "auto") -> SelectionState:
     return SelectionState(chosen=[], q=np.eye(n), b=b, wide=wide)
 
 
-def _updated_matrix(a, b, wide, u, nu2):
-    if wide:
-        w = b @ u
-        s = float(u @ w)
-        return symmetrize(
-            b - (np.outer(u, w) + np.outer(w, u)) / nu2 + (s / (nu2 * nu2)) * np.outer(u, u)
-        )
-    v = a.T @ u
-    return symmetrize(b - np.outer(v, v) / nu2)
+def _downdated(state: SelectionState, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The cached matrix after selecting each column whose direction Q a_i
+    is a row of u: one rank-one update per row, stacked.  Exactly
+    symmetric when the cached matrix is."""
+    nu2 = np.einsum("ij,ij->i", u, u)[:, None, None]
+    if state.wide:
+        w = u @ state.b
+        s = np.einsum("ij,ij->i", u, w)[:, None, None]
+        out = u[:, :, None] * w[:, None, :]
+        out += out.transpose(0, 2, 1)
+        out -= (s / nu2) * (u[:, :, None] * u[:, None, :])
+    else:
+        v = u @ a
+        out = v[:, :, None] * v[:, None, :]
+    out /= -nu2
+    out += state.b
+    return out
 
 
-def _updated_poly(a, b, wide, u, nu2):
-    n, d = a.shape
-    cp = char_poly(_updated_matrix(a, b, wide, u, nu2))
-    if wide and d > n:
-        cp = np.concatenate([np.zeros(d - n), cp])
-    return cp
-
-
-def _score(a, q, b, wide, i, power, eps, tol, hi, abort_above):
-    u = q @ a[:, i]
-    nu2 = float(u @ u)
-    if np.sqrt(nu2) <= tol:
-        raise DegenerateDirection(f"column {i} lies in the selected span")
-    if power == 0:
-        # Zero operator applications: the score is the top eigenvalue of the
-        # updated matrix, which the eigenvalue route delivers far more
-        # accurately than coefficient root-finding when eigenvalues cluster.
-        top = float(sym_eigenvalues(_updated_matrix(a, b, wide, u, nu2))[0])
-        return RootApprox(max(top, 0.0), eps)
-    p = _updated_poly(a, b, wide, u, nu2)
-    return maxroot(polar_power(p, power), eps, hi=hi, abort_above=abort_above)
+def _scores(state, a, u, power, eps, hi, tie) -> list[float | None]:
+    """Scores of the candidates whose directions are the rows of u, in row
+    order: the eps-approximate largest root of the operator power of each
+    candidate's residual characteristic polynomial, or the top eigenvalue
+    when power is 0.  With a tie margin, None marks a candidate pruned as
+    more than tie above a smaller score."""
+    dim = state.b.shape[0]
+    degree = max(a.shape[1], dim)
+    step = max(1, _BLOCK_BYTES // (8 * dim * dim))
+    scores: list[float | None] = []
+    for first in range(0, u.shape[0], step):
+        eigs = np.linalg.eigvalsh(_downdated(state, a, u[first : first + step]))
+        np.maximum(eigs, 0.0, out=eigs)
+        if power == 0:
+            # the eigenvalue route is far more accurate than coefficient
+            # root-finding when eigenvalues cluster
+            scores.extend(eigs[:, -1].tolist())
+            continue
+        known = min((v for v in scores if v is not None), default=None)
+        roots = maxroots(polar_power(from_roots(eigs, degree), power), eps,
+                         hi=hi, abort_above=known, tie=tie)
+        scores.extend(None if r is None else r.value for r in roots)
+    return scores
 
 
 def candidate_score(state: SelectionState, i: int, a, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -138,24 +157,31 @@ def candidate_score(state: SelectionState, i: int, a, k: int, eps: float = DEFAU
     power = int(k) - state.iteration - 1
     if power < 0:
         raise ValueError("selection already holds k columns")
-    tol = rank_tolerance(arr)
-    return _score(arr, state.q, state.b, state.wide, i, power, eps, tol, None, None)
+    u = state.q @ arr[:, i]
+    if np.sqrt(float(u @ u)) <= rank_tolerance(arr):
+        raise DegenerateDirection(f"column {i} lies in the selected span")
+    return RootApprox(_scores(state, arr, u[None, :], power, eps, None, None)[0], eps)
 
 
 def _advance(state: SelectionState, a: np.ndarray, j: int, tol: float) -> None:
-    u = state.q @ a[:, j]
-    nu2 = float(u @ u)
-    if state.wide:
-        w = state.b @ u
-        s = float(u @ w)
-        state.b = symmetrize(
-            state.b - (np.outer(u, w) + np.outer(w, u)) / nu2 + (s / (nu2 * nu2)) * np.outer(u, u)
-        )
-    else:
-        v = a.T @ u
-        state.b = symmetrize(state.b - np.outer(v, v) / nu2)
+    state.b = _downdated(state, a, (state.q @ a[:, j])[None, :])[0]
     state.q = projector_update(state.q, a[:, j], tol)
     state.chosen.append(j)
+
+
+def _pick(state, a, power, eps, tol, hi, tie) -> tuple[int, float]:
+    """One iteration's winner and its score: the smallest index among the
+    admissible candidates scoring within tie of the minimum."""
+    cands = np.delete(np.arange(a.shape[1]), state.chosen)
+    u = (state.q @ a[:, cands]).T
+    admissible = np.sqrt(np.einsum("ij,ij->i", u, u)) > tol
+    if not admissible.any():
+        return -1, np.inf
+    cands, u = cands[admissible], u[admissible]
+    scores = _scores(state, a, u, power, eps, hi, tie)
+    low = min(v for v in scores if v is not None)
+    pos = next(p for p, v in enumerate(scores) if v is not None and v <= low + tie)
+    return int(cands[pos]), scores[pos]
 
 
 def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "auto") -> SelectionResult:
@@ -170,22 +196,20 @@ def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "
 
     The matrix is rescaled by a power of two so its squared spectral norm
     lands in [1/2, 2] before any polynomial work; roots are scaled back on
-    output.  threads > 1 evaluates candidates in a thread pool without
-    changing any result.
+    output.  Each iteration scores its candidates in batches on one thread;
+    threads is accepted for interface stability and does not affect
+    selection.
     """
     start = time.perf_counter()
     arr = as_matrix(a)
-    n, d = arr.shape
+    d = arr.shape[1]
     k = int(k)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    lam1 = spectral_norm_sq(arr)
-    tol = rank_tolerance(arr)
-    side = "columns" if d <= n else "rows"
-    eigs = sym_eigenvalues(gram(arr, by=side))
-    rank = int(np.count_nonzero(eigs > tol * tol))
-    if not 1 <= k <= rank:
-        raise RankExceeded(f"k={k} outside [1, rank={rank}]")
+    eigs, tol = gram_spectrum(arr)
+    if not 1 <= k <= eigs.size:
+        raise RankExceeded(f"k={k} outside [1, rank={eigs.size}]")
+    lam1 = float(eigs[0])
 
     # power-of-two rescale of the squared norm into [1/2, 2]
     m = int(np.round(np.log2(lam1) / 2.0))
@@ -195,41 +219,15 @@ def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "
     tol_s = tol * 2.0**-m
     lam1_s = lam1 / scale
     hi_cap = lam1_s * (1.0 + 1e-9) + eps_s
+    tie = _TIE_ULPS * MACHINE_EPS * max(1.0, hi_cap)
 
     state = initial_state(a_s, route=route)
-    base = char_poly(state.b)
-    if state.wide and d > n:
-        base = np.concatenate([np.zeros(d - n), base])
+    base = from_roots(eigs / scale, max(d, state.b.shape[0]))[0]
     prev_score = maxroot(polar_power(base, k), eps_s, hi=hi_cap).value
 
     roots_scaled: list[float] = []
     for l in range(1, k + 1):
-        power = k - l
-        in_set = set(state.chosen)
-        candidates = [i for i in range(d) if i not in in_set]
-        best_val, best_idx = np.inf, -1
-        if threads > 1:
-            def eval_one(i):
-                try:
-                    r = _score(a_s, state.q, state.b, state.wide, i, power, eps_s, tol_s, hi_cap, None)
-                except DegenerateDirection:
-                    return None
-                return (r.value, i)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(eval_one, candidates))
-            for item in results:
-                if item is not None and item < (best_val, best_idx):
-                    best_val, best_idx = item
-        else:
-            for i in candidates:
-                try:
-                    r = _score(a_s, state.q, state.b, state.wide, i, power, eps_s, tol_s,
-                               hi_cap, best_val if np.isfinite(best_val) else None)
-                except DegenerateDirection:
-                    continue
-                if r is not None and r.value < best_val:
-                    best_val, best_idx = r.value, i
+        best_idx, best_val = _pick(state, a_s, k - l, eps_s, tol_s, hi_cap, tie)
         if best_idx < 0:
             raise AllCandidatesDegenerate(
                 f"no admissible column at iteration {l}; cannot happen for k <= rank"

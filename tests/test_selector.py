@@ -3,7 +3,7 @@ import pytest
 
 from cssp.bounds import residual_bound, spectrum_of
 from cssp.errors import DegenerateDirection, RankExceeded
-from cssp.instances import hard_instance, random_gaussian
+from cssp.instances import hard_instance, power_law, random_gaussian
 from cssp.linalg import char_poly, gram, residual_spectral_sq
 from cssp.polynomial import maxroot, polar_power
 from cssp.selector import candidate_score, initial_state, select
@@ -221,3 +221,100 @@ class TestStateConsistency:
                 assert drift <= 1e-7 * (1.0 + norm_sq)
                 assert np.array_equal(state.q, state.q.T)
                 assert abs(np.trace(state.q) - (7 - len(state.chosen))) <= 1e-8
+
+
+class TestTieBreak:
+    def test_hard_instance_ties_go_to_smallest_index(self):
+        # every column of the symmetric hard instance ties in exact arithmetic
+        for d in range(3, 11):
+            for k in range(1, d):
+                assert select(hard_instance(d, 1.0), k).subset == list(range(k)), (d, k)
+
+
+def _rank_deficient(n, d, r, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+
+
+class TestBatchedScores:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            random_gaussian(30, 12, 1),  # tall
+            power_law(40, 40, 40, 2.0, 1.0, 3),  # square, two blocks
+            random_gaussian(8, 20, 2),  # wide
+            _rank_deficient(20, 16, 6, 4),
+        ],
+        ids=["tall", "square", "wide", "rank-deficient"],
+    )
+    def test_match_char_poly_route(self, a):
+        from cssp.linalg import complement_projector, rank_tolerance, symmetrize
+        from cssp.selector import _advance, _scores
+
+        eps = 1e-9
+        state = initial_state(a)
+        _advance(state, a, 0, rank_tolerance(a))
+        cands = list(range(1, a.shape[1]))
+        u = (state.q @ a[:, cands]).T
+        polys = [char_poly(symmetrize(a.T @ complement_projector(a, [0, i]) @ a)) for i in cands]
+        for power in (0, 1, 3):
+            scores = _scores(state, a, u, power, eps, None, None)
+            refs = [maxroot(polar_power(p, power), eps).value for p in polys]
+            kept = [s for s in scores if s is not None]
+            for s, ref in zip(scores, refs):
+                if s is None:  # pruned: provably above a kept score
+                    assert ref > min(kept)
+                else:
+                    assert abs(s - ref) <= 2 * eps
+
+    def test_first_iteration_against_high_precision(self):
+        # Guards the coefficient route: building candidate polynomials from
+        # a rank-one secular form in double precision cancels in exactly the
+        # low coefficients the operator power keeps.
+        mpmath = pytest.importorskip("mpmath")
+        a = power_law(24, 24, 24, 2.0, 1.0, 5)
+        k, eps = 20, 1e-9
+        state = initial_state(a)
+        got = [candidate_score(state, i, a, k, eps).value for i in range(24)]
+        for value, ref in zip(got, _mp_first_scores(mpmath, a, k - 1)):
+            assert abs(value - float(ref)) <= eps
+
+
+def _mp_first_scores(mpmath, a, power):
+    """First-iteration scores at 60 digits: each candidate's polynomial by
+    the determinant lemma in M = A^T A's eigenbasis, the operator power by
+    coefficient reversal, and the largest root by Newton from the right."""
+    with mpmath.workdps(60):
+        m = mpmath.matrix(a.tolist())
+        m = m.T * m
+        lam, vecs = mpmath.eigsy(m)
+        d = m.rows
+
+        def from_roots(roots):
+            coef = [mpmath.mpf(1)]
+            for r in roots:
+                coef = [mpmath.mpf(0)] + coef
+                for j in range(len(coef) - 1):
+                    coef[j] -= r * coef[j + 1]
+            return coef
+
+        p_m = from_roots(lam)
+        quotients = [from_roots([lam[l] for l in range(d) if l != j]) + [0] for j in range(d)]
+        scores = []
+        for i in range(d):
+            w = [sum(vecs[r, j] * m[r, i] for r in range(d)) for j in range(d)]
+            p = [p_m[c] + sum(w[j] ** 2 / m[i, i] * quotients[j][c] for j in range(d))
+                 for c in range(d + 1)]
+            g = p[::-1]
+            for _ in range(power):
+                g = [g[j] * j for j in range(1, len(g))]
+            t = [mpmath.mpf(0)] * power + g[::-1]
+            dt = [t[j] * j for j in range(1, len(t))]
+            x = max(lam) * 1.01
+            for _ in range(200):
+                step = mpmath.polyval(t[::-1], x) / mpmath.polyval(dt[::-1], x)
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -40:
+                    break
+            scores.append(x)
+        return scores
