@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bounds import hard_instance_bounds, residual_bound, spectrum_of
+from .bounds import hard_instance_bounds, residual_bound, spectrum_info, spectrum_of
 from .errors import (
     AllCandidatesDegenerate,
     CsspError,
@@ -159,10 +159,9 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_select(args) -> int:
     matrix, source = _get_matrix(args)
-    result = select(matrix, args.k, eps=args.eps, threads=args.threads)
+    result = select(matrix, args.k, eps=args.eps)
     report = _base_report("select", source, args)
-    info = spectrum_of(matrix)
-    bnd = residual_bound(info, args.k)
+    bnd = residual_bound(spectrum_info(result.eigs), args.k)
     report.update(
         subset=[j + 1 for j in result.subset],
         residual_sq=result.residual_sq,
@@ -249,7 +248,7 @@ def _cmd_bench(args) -> int:
     hard_params = _hard_params(args)
     rows = []
     for k in range(k_lo, k_hi + 1):
-        result = select(matrix, k, eps=args.eps, threads=args.threads)
+        result = select(matrix, k, eps=args.eps)
         bnd = residual_bound(info, k)
         row = {"k": k, "residual_sq": result.residual_sq,
                "bound": bnd.bound, "applicable": bnd.applicable}

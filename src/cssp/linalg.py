@@ -94,19 +94,14 @@ def gram_spectrum(a) -> tuple[np.ndarray, float]:
 
     eigs holds the eigenvalues of A^T A above tol**2, descending;
     tol = max(n, d) * eps * ||A||_2 is the numerical-rank cutoff for
-    directions.  The singular values of A come from LAPACK eigvalsh on the
-    Jordan-Wielandt matrix [[0, A], [A^T, 0]], whose eigenvalues are plus
-    and minus the singular values and |n - d| zeros.  That gets them to
-    about eps * ||A||_2, so the cutoff separates rank from noise; Gram
-    eigenvalues are accurate only to eps * ||A||_2**2 and would count noise
-    as rank.
+    directions.  The singular values of A come from LAPACK's SVD, which
+    gets them to about eps * ||A||_2, so the cutoff separates rank from
+    noise; Gram eigenvalues (eigvalsh of A^T A) are accurate only to
+    eps * ||A||_2**2 and would count noise as rank.
     """
     arr = as_matrix(a)
     n, d = arr.shape
-    jordan = np.zeros((n + d, n + d))
-    jordan[:n, n:] = arr
-    jordan[n:, :n] = arr.T
-    sigma = np.maximum(np.linalg.eigvalsh(jordan)[::-1][: min(n, d)], 0.0)
+    sigma = np.linalg.svd(arr, compute_uv=False)
     tol = max(n, d) * MACHINE_EPS * float(sigma[0])
     eigs = sigma * sigma
     return eigs[eigs > tol * tol], tol
@@ -213,18 +208,25 @@ def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
     """Projector onto the orthogonal complement of the selected columns.
 
     Built by repeated rank-one updates; columns already inside the running
-    span are skipped rather than rejected.
+    span are skipped rather than rejected.  Updates stop once rank(A)
+    directions are removed: the span is then the whole column space, and
+    rounding left in Q must not pass for one more direction.
     """
     arr = as_matrix(a)
     idx = check_subset(subset, arr.shape[1])
+    eigs, rank_tol = gram_spectrum(arr)
     if tol is None:
-        tol = rank_tolerance(arr)
+        tol = rank_tol
     q = np.eye(arr.shape[0])
+    removed = 0
     for j in idx:
+        if removed == eigs.size:
+            break
         try:
             q = projector_update(q, arr[:, j], tol)
         except DegenerateDirection:
             continue
+        removed += 1
     return q
 
 

@@ -50,14 +50,12 @@ _TIE_ULPS = 4.0
 
 @dataclass
 class SelectionState:
-    """Mutable loop state: chosen columns, complement projector and the
-    cached product matrix (Gram form when tall, projected outer form when
-    wide)."""
+    """Mutable loop state: chosen columns, complement projector Q and the
+    cached product matrix Q A A^T Q."""
 
     chosen: list[int]
     q: np.ndarray
     b: np.ndarray
-    wide: bool
 
     @property
     def iteration(self) -> int:
@@ -71,45 +69,27 @@ class SelectionResult:
     iteration_roots: list[RootApprox]
     eps: float
     elapsed: float
+    eigs: np.ndarray  # the input's positive Gram eigenvalues, descending
 
 
-def initial_state(a, route: str = "auto") -> SelectionState:
-    """Empty-selection state.
-
-    route picks the cached matrix shape: "gram" keeps the d x d form
-    A^T Q A, "outer" the n x n form Q A A^T Q.  "auto" takes the smaller
-    one (outer when d >= n).  Both produce the same scores; the outer form
-    tracks the one-sided product through its symmetric two-sided twin,
-    which has the same characteristic polynomial.
-    """
+def initial_state(a) -> SelectionState:
+    """Empty-selection state of a with the n x n cached form A A^T, which
+    has the nonzero spectrum of A^T A."""
     arr = as_matrix(a)
-    n, d = arr.shape
-    if route == "auto":
-        wide = d >= n
-    elif route == "outer":
-        wide = True
-    elif route == "gram":
-        wide = False
-    else:
-        raise ValueError("route must be 'auto', 'gram' or 'outer'")
-    b = gram(arr, by="rows") if wide else gram(arr, by="columns")
-    return SelectionState(chosen=[], q=np.eye(n), b=b, wide=wide)
+    return SelectionState(chosen=[], q=np.eye(arr.shape[0]), b=gram(arr, by="rows"))
 
 
-def _downdated(state: SelectionState, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The cached matrix after selecting each column whose direction Q a_i
-    is a row of u: one rank-one update per row, stacked.  Exactly
-    symmetric when the cached matrix is."""
+def _downdated(state: SelectionState, u: np.ndarray) -> np.ndarray:
+    """The cached matrix Q A A^T Q after selecting each column whose
+    direction Q a_i is a row of u, that is after shrinking Q by u u^T /
+    (u^T u): one rank-one update per row, stacked.  Exactly symmetric
+    when the cached matrix is."""
     nu2 = np.einsum("ij,ij->i", u, u)[:, None, None]
-    if state.wide:
-        w = u @ state.b
-        s = np.einsum("ij,ij->i", u, w)[:, None, None]
-        out = u[:, :, None] * w[:, None, :]
-        out += out.transpose(0, 2, 1)
-        out -= (s / nu2) * (u[:, :, None] * u[:, None, :])
-    else:
-        v = u @ a
-        out = v[:, :, None] * v[:, None, :]
+    w = u @ state.b
+    s = np.einsum("ij,ij->i", u, w)[:, None, None]
+    out = u[:, :, None] * w[:, None, :]
+    out += out.transpose(0, 2, 1)
+    out -= (s / nu2) * (u[:, :, None] * u[:, None, :])
     out /= -nu2
     out += state.b
     return out
@@ -126,10 +106,10 @@ def _scores(state, a, u, power, eps, hi, tie) -> list[float | None]:
     step = max(1, _BLOCK_BYTES // (8 * dim * dim))
     scores: list[float | None] = []
     for first in range(0, u.shape[0], step):
-        eigs = np.linalg.eigvalsh(_downdated(state, a, u[first : first + step]))
+        eigs = np.linalg.eigvalsh(_downdated(state, u[first : first + step]))
         np.maximum(eigs, 0.0, out=eigs)
         if power == 0:
-            # the eigenvalue route is far more accurate than coefficient
+            # the top eigenvalue is far more accurate than coefficient
             # root-finding when eigenvalues cluster
             scores.extend(eigs[:, -1].tolist())
             continue
@@ -164,7 +144,7 @@ def candidate_score(state: SelectionState, i: int, a, k: int, eps: float = DEFAU
 
 
 def _advance(state: SelectionState, a: np.ndarray, j: int, tol: float) -> None:
-    state.b = _downdated(state, a, (state.q @ a[:, j])[None, :])[0]
+    state.b = _downdated(state, (state.q @ a[:, j])[None, :])[0]
     state.q = projector_update(state.q, a[:, j], tol)
     state.chosen.append(j)
 
@@ -184,7 +164,7 @@ def _pick(state, a, power, eps, tol, hi, tie) -> tuple[int, float]:
     return int(cands[pos]), scores[pos]
 
 
-def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "auto") -> SelectionResult:
+def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
     """Pick k columns whose span nearly minimizes the spectral residual.
 
     Runs the greedy expected-polynomial loop and returns the chosen subset
@@ -196,9 +176,10 @@ def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "
 
     The matrix is rescaled by a power of two so its squared spectral norm
     lands in [1/2, 2] before any polynomial work; roots are scaled back on
-    output.  Each iteration scores its candidates in batches on one thread;
-    threads is accepted for interface stability and does not affect
-    selection.
+    output.  Every score depends on A only through A^T A, so the loop runs
+    on the min(n, d) x d triangular factor R of A (R^T R = A^T A), whose
+    cached form Q R R^T Q is never larger than either Gram side.  The final
+    residual is computed from A itself.
     """
     start = time.perf_counter()
     arr = as_matrix(a)
@@ -221,13 +202,14 @@ def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "
     hi_cap = lam1_s * (1.0 + 1e-9) + eps_s
     tie = _TIE_ULPS * MACHINE_EPS * max(1.0, hi_cap)
 
-    state = initial_state(a_s, route=route)
-    base = from_roots(eigs / scale, max(d, state.b.shape[0]))[0]
+    r = np.linalg.qr(a_s, mode="r")
+    state = initial_state(r)
+    base = from_roots(eigs / scale, d)[0]
     prev_score = maxroot(polar_power(base, k), eps_s, hi=hi_cap).value
 
     roots_scaled: list[float] = []
     for l in range(1, k + 1):
-        best_idx, best_val = _pick(state, a_s, k - l, eps_s, tol_s, hi_cap, tie)
+        best_idx, best_val = _pick(state, r, k - l, eps_s, tol_s, hi_cap, tie)
         if best_idx < 0:
             raise AllCandidatesDegenerate(
                 f"no admissible column at iteration {l}; cannot happen for k <= rank"
@@ -238,7 +220,7 @@ def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "
             )
         prev_score = best_val
         roots_scaled.append(best_val)
-        _advance(state, a_s, best_idx, tol_s)
+        _advance(state, r, best_idx, tol_s)
 
     subset = list(state.chosen)
     residual = residual_spectral_sq(arr, subset)
@@ -251,4 +233,5 @@ def select(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1, route: str = "
         iteration_roots=roots,
         eps=eps,
         elapsed=time.perf_counter() - start,
+        eigs=eigs,
     )

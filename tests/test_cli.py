@@ -75,6 +75,21 @@ class TestSelectCommand:
         assert code == 0
         assert json.loads(out)["subset"] == [1, 2]
 
+    @pytest.mark.parametrize("spec,k", [("hard:d=6,delta=1", 3),
+                                        ("power:n=12,d=9,seed=2", 5),
+                                        ("random:n=5,d=11,seed=3", 2)])
+    def test_bound_from_selection_spectrum(self, capsys, spec, k):
+        # the report reuses the spectrum select computed; it must read
+        # exactly as a separate spectrum_of call would
+        from cssp.bounds import residual_bound, spectrum_of
+
+        _, out = run_cli(capsys, "select", "--instance", spec, "-k", str(k),
+                         "--format", "json")
+        report = json.loads(out)
+        expected = residual_bound(spectrum_of(parse_instance_spec(spec)), k)
+        assert report["bound"] == expected.bound
+        assert report["applicable"] == expected.applicable
+
     def test_rank_exceeded_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "select", "--instance", "random:n=2,d=2,seed=0",
                           "-k", "3")

@@ -188,6 +188,22 @@ class TestResidual:
             ref = np.linalg.svd(resid, compute_uv=False)[0] ** 2
             assert abs(mine - ref) <= 1e-7 * max(1.0, ref)
 
+    def test_projector_is_complement_of_subset_span(self):
+        # same cases as test_matches_svd_route; a subset spanning the whole
+        # column space once gave trace(Q) = -1 and ||Q A||^2 far above 0
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n, d = (int(x) for x in rng.integers(2, 9, size=2))
+            a = random_matrix(rng, n, d)
+            size = int(rng.integers(0, d + 1))
+            s = list(rng.choice(d, size=size, replace=False))
+            q = complement_projector(a, s)
+            rank_s = numerical_rank(a[:, s]) if s else 0
+            assert abs(np.trace(q) - (n - rank_s)) <= 1e-8
+            norm_sq = np.linalg.svd(q @ a, compute_uv=False)[0] ** 2
+            ref = residual_spectral_sq(a, s)
+            assert abs(norm_sq - ref) <= 1e-9 * max(1.0, ref)
+
     def test_monotone_under_superset(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

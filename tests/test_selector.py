@@ -9,6 +9,11 @@ from cssp.polynomial import maxroot, polar_power
 from cssp.selector import candidate_score, initial_state, select
 
 
+def _rank_deficient(n, d, r, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+
+
 class TestCandidateScore:
     def test_diagonal_both_columns(self):
         a = np.diag([np.sqrt(3.0), 1.0])
@@ -128,30 +133,26 @@ class TestSelect:
                 residual_spectral_sq(a, result.subset), rel=1e-10
             )
 
-    def test_thread_determinism(self):
-        a = random_gaussian(7, 9, 42)
-        base = select(a, 4, threads=1)
-        for threads in (2, 4):
-            other = select(a, 4, threads=threads)
-            assert other.subset == base.subset
-            assert other.residual_sq == base.residual_sq
-            assert [r.value for r in other.iteration_roots] == [
-                r.value for r in base.iteration_roots
-            ]
-
-    def test_route_equivalence(self):
-        # square, tall and wide shapes must agree between the d x d and
-        # n x n cached-matrix branches
-        shapes = [(6, 6), (9, 5), (4, 8), (3, 11)]
-        for seed, (n, d) in enumerate(shapes):
-            a = random_gaussian(n, d, seed)
-            k = min(3, min(n, d) - 1)
-            via_gram = select(a, k, route="gram")
-            via_outer = select(a, k, route="outer")
-            assert via_gram.subset == via_outer.subset
-            assert via_gram.residual_sq == pytest.approx(via_outer.residual_sq, abs=1e-7)
-            for rg, ro in zip(via_gram.iteration_roots, via_outer.iteration_roots):
-                assert rg.value == pytest.approx(ro.value, abs=1e-6)
+    @pytest.mark.parametrize(
+        "a",
+        [
+            random_gaussian(30, 12, 1),  # tall
+            power_law(16, 16, 16, 2.0, 1.0, 3),  # square
+            random_gaussian(8, 20, 2),  # wide
+            _rank_deficient(20, 16, 6, 4),
+        ],
+        ids=["tall", "square", "wide", "rank-deficient"],
+    )
+    def test_invariant_under_orthonormal_rows(self, a):
+        # scores depend on A only through A^T A, which U @ A shares
+        rng = np.random.Generator(np.random.Philox(17))
+        u, _ = np.linalg.qr(rng.standard_normal((300, a.shape[0])))
+        info = spectrum_of(a)
+        for k in (1, info.t // 2, info.t - 1):
+            base, lifted = select(a, k), select(u @ a, k)
+            assert lifted.subset == base.subset
+            for rb, rl in zip(base.iteration_roots, lifted.iteration_roots):
+                assert abs(rb.value - rl.value) <= 1e-12 * info.eigs[0]
 
     def test_wide_matrix(self):
         a = random_gaussian(3, 10, 7)
@@ -175,8 +176,7 @@ class TestSelect:
 
     def test_candidate_score_wide_state(self):
         a = random_gaussian(3, 7, 13)
-        state = initial_state(a)  # auto resolves to the n x n branch
-        assert state.wide
+        state = initial_state(a)
         scores = {i: candidate_score(state, i, a, 2).value for i in range(7)}
         full = select(a, 2)
         assert full.subset[0] == min(scores, key=lambda i: (scores[i], i))
@@ -205,22 +205,19 @@ class TestStateConsistency:
         from cssp.linalg import complement_projector, rank_tolerance, symmetrize
         from cssp.selector import _advance
 
-        for seed, route in ((0, "gram"), (1, "outer")):
-            a = random_gaussian(7, 7, seed)
+        for seed, (n, d) in enumerate(((7, 7), (7, 7), (12, 7))):
+            a = random_gaussian(n, d, seed)
             tol = rank_tolerance(a)
-            state = initial_state(a, route=route)
+            state = initial_state(a)
             norm_sq = spectrum_of(a).eigs[0]
             for j in (4, 1, 6, 2):
                 _advance(state, a, j, tol)
                 q = complement_projector(a, state.chosen)
-                if state.wide:
-                    rebuilt = symmetrize(q @ a @ a.T @ q)
-                else:
-                    rebuilt = symmetrize(a.T @ q @ a)
+                rebuilt = symmetrize(q @ a @ a.T @ q)
                 drift = np.linalg.norm(state.b - rebuilt)
                 assert drift <= 1e-7 * (1.0 + norm_sq)
                 assert np.array_equal(state.q, state.q.T)
-                assert abs(np.trace(state.q) - (7 - len(state.chosen))) <= 1e-8
+                assert abs(np.trace(state.q) - (n - len(state.chosen))) <= 1e-8
 
 
 class TestTieBreak:
@@ -229,11 +226,6 @@ class TestTieBreak:
         for d in range(3, 11):
             for k in range(1, d):
                 assert select(hard_instance(d, 1.0), k).subset == list(range(k)), (d, k)
-
-
-def _rank_deficient(n, d, r, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    return rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
 
 
 class TestBatchedScores:
