@@ -19,6 +19,7 @@ from .bounds import (
 )
 from .errors import (
     AllCandidatesDegenerate,
+    CertificateViolation,
     CsspError,
     DegenerateDirection,
     DimensionMismatch,

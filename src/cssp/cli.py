@@ -19,6 +19,7 @@ from dataclasses import replace
 from .bounds import hard_instance_bounds, residual_bound, spectrum_info, spectrum_of
 from .errors import (
     AllCandidatesDegenerate,
+    CertificateViolation,
     CsspError,
     DegenerateDirection,
     DimensionMismatch,
@@ -56,7 +57,7 @@ _NUMERICAL_ERRORS = (
     NoRootInRange,
     AllCandidatesDegenerate,
     DegenerateDirection,
-    RuntimeError,
+    CertificateViolation,
 )
 
 

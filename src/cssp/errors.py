@@ -29,6 +29,10 @@ class AllCandidatesDegenerate(CsspError):
     """No admissible column remains before the subset is complete."""
 
 
+class CertificateViolation(CsspError):
+    """A computed root or residual failed its runtime certificate."""
+
+
 class EmptySpectrum(CsspError):
     """A spectrum summary was requested for an empty eigenvalue list."""
 

@@ -231,11 +231,25 @@ def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
 
 
 def residual_spectral_sq(a, subset=()) -> float:
-    """Squared spectral norm of A minus its projection onto chosen columns.
-
-    Equals the largest eigenvalue of A^T Q_S A with Q_S the complement
-    projector of the selected columns.  The empty subset gives ||A||_2^2.
+    """Squared spectral norm of A minus its projection onto chosen columns:
+    sigma_max(A - Q (Q^T A))^2 with Q an orthonormal basis of the columns,
+    built one at a time with the skip rule and rank cap of
+    :func:`complement_projector` and one re-orthogonalisation, so no n x n
+    projector is formed.  The empty subset gives ||A||_2^2.
     """
     arr = as_matrix(a)
-    q = complement_projector(arr, subset)
-    return max(float(np.linalg.eigvalsh(symmetrize(arr.T @ q @ arr))[-1]), 0.0)
+    idx = check_subset(subset, arr.shape[1])
+    eigs, tol = gram_spectrum(arr)
+    basis = np.zeros((arr.shape[0], 0))
+    for j in idx:
+        if basis.shape[1] == eigs.size:
+            break
+        v = arr[:, j] - basis @ (basis.T @ arr[:, j])
+        norm = float(np.linalg.norm(v))
+        if norm <= tol:
+            continue
+        v = v / norm
+        v -= basis @ (basis.T @ v)
+        basis = np.column_stack([basis, v / np.linalg.norm(v)])
+    resid = arr - basis @ (basis.T @ arr)
+    return float(np.linalg.svd(resid, compute_uv=False)[0]) ** 2

@@ -90,6 +90,14 @@ class TestSelectCommand:
         assert report["bound"] == expected.bound
         assert report["applicable"] == expected.applicable
 
+    @pytest.mark.parametrize("spec,k", [("random:n=40,d=80,seed=1", 3),
+                                        ("random:n=100,d=40,seed=1", 5)])
+    def test_gaussian_wide_and_tall(self, capsys, spec, k):
+        code, out = run_cli(capsys, "select", "--instance", spec, "-k", str(k),
+                            "--format", "json")
+        assert code == 0
+        assert len(set(json.loads(out)["subset"])) == k
+
     def test_rank_exceeded_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "select", "--instance", "random:n=2,d=2,seed=0",
                           "-k", "3")
@@ -197,6 +205,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "select", boom)
         code = main(["select", "--instance", "hard:d=3,delta=1", "-k", "1"])
         assert code == 3
+
+    def test_score_chain_violation_exits_3(self, capsys, monkeypatch):
+        import cssp.selector as selector_mod
+
+        calls = []
+
+        def rising(mu, power, eps, noise):
+            calls.append(power)
+            return scorer(mu, power, eps, noise) + len(calls)
+
+        scorer = selector_mod._root_scores
+        monkeypatch.setattr(selector_mod, "_root_scores", rising)
+        code = main(["select", "--instance", "random:n=6,d=6,seed=0", "-k", "3"])
+        assert code == 3
+        assert "score chain violated at iteration 1:" in capsys.readouterr().err
 
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = tmp_path / "short.mtx"

@@ -11,7 +11,6 @@ from cssp.polynomial import (
     derivative,
     flip,
     maxroot,
-    maxroots,
     minroot,
     polar_power,
     poly_eval,
@@ -237,16 +236,9 @@ class TestExtremeRoots:
         p = npoly.polyfromroots([0.5, 2.0, 9.0])
         assert cauchy_bound(p) >= 9.0
 
-    def test_abort_above_never_prunes_winner(self):
-        p = npoly.polyfromroots([1.0, 4.0])
-        # a threshold above the root must not abort
-        assert maxroot(p, 1e-9, abort_above=5.0).value == pytest.approx(4.0, abs=1e-8)
-        # a threshold below the root aborts with None
-        assert maxroot(p, 1e-9, abort_above=2.0) is None
-
 
 def _scalar_variations(mat, x):
-    # one polynomial, one scalar point: the Horner loop maxroots vectorizes
+    # one polynomial, one scalar point: the Horner loop _variations_at vectorizes
     vals = mat[:, -1].copy()
     for j in range(mat.shape[1] - 2, -1, -1):
         vals = vals * x + mat[:, j]
@@ -258,14 +250,11 @@ def _scalar_variations(mat, x):
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def _sequential_maxroot(c, eps, hi=None):
+def _sequential_maxroot(c, eps):
     """Reference: one polynomial bisected alone, one scalar count per step."""
     q, zero_root, s = _prepare(c)
     mat = _fourier_matrix(q)
     upper = cauchy_bound(q)
-    if hi is not None and hi / s < upper:
-        if _scalar_variations(mat, hi / s) <= _scalar_variations(mat, upper):
-            upper = hi / s
     lo, top = 0.0, upper
     v_top = _scalar_variations(mat, top)
     if _scalar_variations(mat, 0.0) - v_top < 1:
@@ -298,35 +287,5 @@ class TestLockstepMaxroots:
 
     def test_bit_identical_to_sequential_bisection(self):
         for seed in range(5):
-            polys = self._batch(seed)
-            got = maxroots(polys, 1e-9)
-            for p, r in zip(polys, got):
-                assert r.value == _sequential_maxroot(p, 1e-9)
-                assert maxroot(p, 1e-9).value == r.value
-
-    def test_tight_hi(self):
-        for seed in range(5):
-            polys = self._batch(100 + seed)
-            # caps just above some roots and below others
-            hi = float(np.median([_sequential_maxroot(p, 1e-12) for p in polys])) * (1 + 1e-9)
-            got = maxroots(polys, 1e-9, hi=hi)
-            for p, r in zip(polys, got):
-                assert r.value == _sequential_maxroot(p, 1e-9, hi=hi)
-
-    def test_pruned_rows(self):
-        pruned = 0
-        for seed in range(5):
-            polys = self._batch(200 + seed)
-            ref = [_sequential_maxroot(p, 1e-9) for p in polys[1:]]
-            abort = float(np.median(ref))
-            for tie, abort_above in ((1e-6, None), (1e-6, abort), (None, abort)):
-                got = maxroots(polys[1:], 1e-9, abort_above=abort_above, tie=tie)
-                kept = [r.value for r in got if r is not None]
-                floor = min(kept + [np.inf if abort_above is None else abort_above])
-                for r, value in zip(got, ref):
-                    if r is None:
-                        pruned += 1
-                        assert value > floor + (tie or 0.0)
-                    else:
-                        assert r.value == value
-        assert pruned > 0
+            for p in self._batch(seed):
+                assert maxroot(p, 1e-9).value == _sequential_maxroot(p, 1e-9)

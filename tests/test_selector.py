@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cssp.selector as selector_mod
 from cssp.bounds import residual_bound, spectrum_of
-from cssp.errors import DegenerateDirection, RankExceeded
+from cssp.errors import CertificateViolation, DegenerateDirection, RankExceeded
 from cssp.instances import hard_instance, power_law, random_gaussian
-from cssp.linalg import char_poly, gram, residual_spectral_sq
+from cssp.linalg import MACHINE_EPS, char_poly, gram, gram_spectrum, residual_spectral_sq
 from cssp.polynomial import maxroot, polar_power
 from cssp.selector import candidate_score, initial_state, select
 
@@ -87,14 +89,21 @@ class TestSelect:
         assert result.residual_sq <= final.value + final.epsilon + 1e-7 * 10
 
     def test_score_chain_monotone(self):
-        # scores may only rise by 2 eps per iteration
+        # scores may only rise by 2 eps per iteration, plus rounding
         eps = 1e-9
-        for seed in (0, 1, 2, 3):
-            a = random_gaussian(8, 7, seed)
-            result = select(a, 5, eps=eps)
+        cases = [(random_gaussian(8, 7, seed), 5) for seed in (0, 1, 2, 3)]
+        cases.append((power_law(48, 48, 48, 2.0, 1.0, 3), 12))
+        for a, k in cases:
+            lam1 = spectrum_of(a).eigs[0]
+            result = select(a, k, eps=eps)
             values = [r.value for r in result.iteration_roots]
             for prev, cur in zip(values, values[1:]):
-                assert cur <= prev + 2 * eps + 1e-6 * (1 + abs(prev))
+                assert cur <= prev + 2 * eps + 4 * MACHINE_EPS * lam1
+
+    def test_rising_score_raises_certificate_violation(self, monkeypatch):
+        monkeypatch.setattr(selector_mod, "_root_scores", rising_scores(selector_mod._root_scores))
+        with pytest.raises(CertificateViolation, match="score chain violated at iteration 1:"):
+            select(random_gaussian(6, 6, 0), 3)
 
     def test_end_to_end_root_bound(self):
         # residual stays below the k-fold operator root plus 2 k eps
@@ -227,6 +236,21 @@ class TestTieBreak:
             for k in range(1, d):
                 assert select(hard_instance(d, 1.0), k).subset == list(range(k)), (d, k)
 
+    def test_permuted_hard_instance_picks_smallest_indices(self):
+        perm = np.random.Generator(np.random.Philox(7)).permutation(48)
+        assert select(hard_instance(48, 1.0)[:, perm], 24).subset == list(range(24))
+
+
+def rising_scores(scorer):
+    """The scorer with 1, 2, 3, ... added to the scores of successive calls."""
+    calls = []
+
+    def rising(mu, power, eps, noise):
+        calls.append(power)
+        return scorer(mu, power, eps, noise) + len(calls)
+
+    return rising
+
 
 class TestBatchedScores:
     @pytest.mark.parametrize(
@@ -245,19 +269,16 @@ class TestBatchedScores:
 
         eps = 1e-9
         state = initial_state(a)
+        noise = state.b.shape[0] * MACHINE_EPS * spectrum_of(a).eigs[0]
         _advance(state, a, 0, rank_tolerance(a))
         cands = list(range(1, a.shape[1]))
         u = (state.q @ a[:, cands]).T
         polys = [char_poly(symmetrize(a.T @ complement_projector(a, [0, i]) @ a)) for i in cands]
         for power in (0, 1, 3):
-            scores = _scores(state, a, u, power, eps, None, None)
+            scores = _scores(state, u, power, eps, noise)
             refs = [maxroot(polar_power(p, power), eps).value for p in polys]
-            kept = [s for s in scores if s is not None]
             for s, ref in zip(scores, refs):
-                if s is None:  # pruned: provably above a kept score
-                    assert ref > min(kept)
-                else:
-                    assert abs(s - ref) <= 2 * eps
+                assert abs(s - ref) <= 2 * eps
 
     def test_first_iteration_against_high_precision(self):
         # Guards the coefficient route: building candidate polynomials from
@@ -310,3 +331,84 @@ def _mp_first_scores(mpmath, a, power):
                     break
             scores.append(x)
         return scores
+
+
+def _spectra(n, ratio, kind, seed, picked):
+    """Candidate spectra at one iteration of a selection run, the noise
+    level and the rank left, as select computes them: the input is rescaled
+    to a squared norm in [1/2, 2] and reduced to R, and up to picked random
+    columns are selected first."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    d = max(1, round(n * ratio))
+    if kind == "deficient":
+        r = int(rng.integers(1, min(n, d) + 1))
+        a = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    elif kind == "cluster":
+        m = min(n, d)
+        u, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, m)))
+        a = (u * (1.0 + 10.0 ** rng.uniform(-15, -6) * rng.standard_normal(m))) @ v.T
+    elif kind == "hard":
+        a = hard_instance(d + 1, float(rng.uniform(0.1, 3.0)))[:, rng.permutation(d + 1)]
+    else:
+        spread = {"gauss": 0.0, "scaled8": 8.0, "scaled100": 100.0}[kind]
+        a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-spread, spread, size=d)
+    eigs, tol = gram_spectrum(a)
+    m = int(np.round(np.log2(eigs[0]) / 2.0))
+    r = np.linalg.qr(a * 2.0**-m, mode="r")
+    tol *= 2.0**-m
+    state = initial_state(r)
+    for j in rng.permutation(a.shape[1])[:picked]:
+        if state.iteration < eigs.size - 1 and np.linalg.norm(state.q @ r[:, j]) > tol:
+            selector_mod._advance(state, r, int(j), tol)
+    u = (state.q @ r).T
+    u = u[np.linalg.norm(u, axis=1) > tol]
+    mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(state, u)), 0.0)
+    noise = r.shape[0] * MACHINE_EPS * eigs[0] * 4.0**-m
+    return mu, noise, eigs.size - state.iteration
+
+
+def _mp_score(mpmath, mu, power, noise):
+    """1/y* for the smallest root y* of D^power prod_j (1 - mu_j y), over
+    the entries of mu above noise, at 60 digits: Newton's method from
+    y = 1/max(mu), which is no larger than y* and so converges
+    monotonically, on values of g and g' from the product's Taylor
+    coefficients at y."""
+    with mpmath.workdps(60):
+        roots = [mpmath.mpf(float(v)) for v in mu if v > noise]
+        if len(roots) <= power:
+            return 0.0
+        y = 1 / max(roots)
+        for _ in range(5000):
+            c = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (power + 1)
+            for v in roots:
+                a = 1 - v * y
+                c = [a * c[0]] + [a * c[i] - v * c[i - 1] for i in range(1, power + 2)]
+            if c[power] == 0:  # y is a root: a multiple root of the product
+                return float(1 / y)
+            step = -c[power] / ((power + 1) * c[power + 1])
+            y += step
+            if abs(step) <= mpmath.mpf(10) ** -40 * y:
+                return float(1 / y)
+    raise AssertionError("reference Newton iteration did not converge")
+
+
+class TestProductFormScores:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 20),
+        ratio=st.sampled_from([0.5, 1.0, 2.0]),
+        kind=st.sampled_from(["gauss", "deficient", "cluster", "hard", "scaled8", "scaled100"]),
+        seed=st.integers(0, 2**16),
+        picked=st.integers(0, 19),
+        power_frac=st.floats(0.0, 1.0),
+        eps=st.sampled_from([1e-9, 1e-13, 1e-16]),
+    )
+    def test_against_high_precision(self, n, ratio, kind, seed, picked, power_frac, eps):
+        mpmath = pytest.importorskip("mpmath")
+        mu, noise, left = _spectra(n, ratio, kind, seed, picked)
+        power = int(power_frac * (left - 1))
+        got = selector_mod._root_scores(mu, power, eps, noise)
+        for value, row in zip(got, mu):
+            ref = _mp_score(mpmath, row, power, noise)
+            assert abs(value - ref) <= max(eps, 64 * MACHINE_EPS * ref)
