@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra used by the selection pipeline.
 
-Matrices are plain 2-D float ndarrays.  Everything here is a pure function;
-Gram and projector matrices are re-symmetrized after every update so drift
-cannot accumulate over long selection runs.
+Matrices are plain 2-D float ndarrays and everything here is a pure
+function.  Gram matrices and updated projectors are re-symmetrized, so
+callers can rely on exact symmetry.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DegenerateDirection, NoConvergence
 
 MACHINE_EPS = float(np.finfo(float).eps)
+_MAX_NORM = float(np.sqrt(np.finfo(float).max))  # largest norm with a finite square
 
 
 def as_matrix(a) -> np.ndarray:
@@ -97,11 +98,15 @@ def gram_spectrum(a) -> tuple[np.ndarray, float]:
     directions.  The singular values of A come from LAPACK's SVD, which
     gets them to about eps * ||A||_2, so the cutoff separates rank from
     noise; Gram eigenvalues (eigvalsh of A^T A) are accurate only to
-    eps * ||A||_2**2 and would count noise as rank.
+    eps * ||A||_2**2 and would count noise as rank.  Raises ValueError
+    when ||A||_2 exceeds sqrt(float max), where ||A||_2**2 overflows.
     """
     arr = as_matrix(a)
     n, d = arr.shape
     sigma = np.linalg.svd(arr, compute_uv=False)
+    if sigma[0] > _MAX_NORM:
+        raise ValueError(f"spectral norm {sigma[0]:.6g} exceeds {_MAX_NORM:.6g}, past which "
+                         "its square overflows")
     tol = max(n, d) * MACHINE_EPS * float(sigma[0])
     eigs = sigma * sigma
     return eigs[eigs > tol * tol], tol
@@ -204,45 +209,15 @@ def check_subset(subset, n_cols: int) -> list[int]:
     return idx
 
 
-def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
-    """Projector onto the orthogonal complement of the selected columns.
-
-    Built by repeated rank-one updates; columns already inside the running
-    span are skipped rather than rejected.  Updates stop once rank(A)
-    directions are removed: the span is then the whole column space, and
-    rounding left in Q must not pass for one more direction.
+def _span_basis(arr: np.ndarray, idx: list[int], rank: int, tol: float) -> np.ndarray:
+    """Orthonormal basis of the columns idx of arr by Gram-Schmidt with one
+    re-orthogonalisation.  Columns within tol of the running span are
+    skipped; the loop stops at rank columns, where the span is the whole
+    column space and leftover rounding must not pass for one more direction.
     """
-    arr = as_matrix(a)
-    idx = check_subset(subset, arr.shape[1])
-    eigs, rank_tol = gram_spectrum(arr)
-    if tol is None:
-        tol = rank_tol
-    q = np.eye(arr.shape[0])
-    removed = 0
-    for j in idx:
-        if removed == eigs.size:
-            break
-        try:
-            q = projector_update(q, arr[:, j], tol)
-        except DegenerateDirection:
-            continue
-        removed += 1
-    return q
-
-
-def residual_spectral_sq(a, subset=()) -> float:
-    """Squared spectral norm of A minus its projection onto chosen columns:
-    sigma_max(A - Q (Q^T A))^2 with Q an orthonormal basis of the columns,
-    built one at a time with the skip rule and rank cap of
-    :func:`complement_projector` and one re-orthogonalisation, so no n x n
-    projector is formed.  The empty subset gives ||A||_2^2.
-    """
-    arr = as_matrix(a)
-    idx = check_subset(subset, arr.shape[1])
-    eigs, tol = gram_spectrum(arr)
     basis = np.zeros((arr.shape[0], 0))
     for j in idx:
-        if basis.shape[1] == eigs.size:
+        if basis.shape[1] == rank:
             break
         v = arr[:, j] - basis @ (basis.T @ arr[:, j])
         norm = float(np.linalg.norm(v))
@@ -251,5 +226,32 @@ def residual_spectral_sq(a, subset=()) -> float:
         v = v / norm
         v -= basis @ (basis.T @ v)
         basis = np.column_stack([basis, v / np.linalg.norm(v)])
+    return basis
+
+
+def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
+    """Projector I - B B^T onto the orthogonal complement of the selected
+    columns, B the basis of :func:`_span_basis` (tol defaults to the rank
+    tolerance of A)."""
+    arr = as_matrix(a)
+    idx = check_subset(subset, arr.shape[1])
+    eigs, rank_tol = gram_spectrum(arr)
+    basis = _span_basis(arr, idx, eigs.size, rank_tol if tol is None else tol)
+    return np.eye(arr.shape[0]) - basis @ basis.T
+
+
+def _residual_sq(arr: np.ndarray, idx: list[int], rank: int, tol: float) -> float:
+    """sigma_max(A - B B^T A)^2 for the basis B of :func:`_span_basis`."""
+    basis = _span_basis(arr, idx, rank, tol)
     resid = arr - basis @ (basis.T @ arr)
     return float(np.linalg.svd(resid, compute_uv=False)[0]) ** 2
+
+
+def residual_spectral_sq(a, subset=()) -> float:
+    """Squared spectral norm of A minus its projection onto chosen columns,
+    through an n x |S| orthonormal basis of the columns, so no n x n
+    projector is formed.  The empty subset gives ||A||_2^2.
+    """
+    arr = as_matrix(a)
+    eigs, tol = gram_spectrum(arr)
+    return _residual_sq(arr, check_subset(subset, arr.shape[1]), eigs.size, tol)

@@ -1,9 +1,9 @@
 """Exhaustive optima and identity checks for desk-scale instances.
 
 Everything here exists to certify the fast path from an independent angle:
-residuals come from numpy's SVD instead of the Jacobi/projector route,
-determinants are cross-checked between a factored product and numpy, and
-the operator identity is tested against a literal weighted subset sum.
+residuals come from numpy's SVD and pseudoinverse, not from a Gram-Schmidt
+basis, determinants are cross-checked between a factored product and numpy,
+and the operator identity is tested against a literal weighted subset sum.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def _require_enumerable(d: int, k: int) -> int:
 def svd_residual_sq(a, cols) -> float:
     """Squared spectral residual through numpy's SVD and pseudoinverse.
 
-    Deliberately shares no code with the projector/Jacobi route it checks.
+    Deliberately shares no code with the Gram-Schmidt basis of
+    `linalg.residual_spectral_sq`, which it checks.
     """
     arr = as_matrix(a)
     cols = list(cols)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllCandidatesDegenerate, CertificateViolation, DegenerateDirection, RankExceeded
-from .linalg import (
-    MACHINE_EPS,
-    as_matrix,
-    gram,
-    gram_spectrum,
-    projector_update,
-    residual_spectral_sq,
-)
+from .linalg import MACHINE_EPS, _residual_sq, as_matrix, gram_spectrum
 from .polynomial import RootApprox
 
 DEFAULT_EPS = 1e-9
@@ -54,12 +47,19 @@ _CERTIFICATE_RETRIES = 3
 
 @dataclass
 class SelectionState:
-    """Mutable loop state: chosen columns, complement projector Q and the
-    cached product matrix Q A A^T Q."""
+    """Mutable loop state on the rescaled input A / sqrt(scale): the residual
+    factor e = Q R (min(n, d) x d, R^T R = A^T A / scale, Q the complement
+    projector of the chosen columns), whose column i is candidate i's
+    direction and e^T e = A^T Q_S A / scale; the input's positive Gram
+    eigenvalues eigs; and, on e's scale, the rank cutoff tol for
+    directions and the spectrum noise level."""
 
     chosen: list[int]
-    q: np.ndarray
-    b: np.ndarray
+    e: np.ndarray
+    eigs: np.ndarray
+    scale: float
+    tol: float
+    noise: float
 
     @property
     def iteration(self) -> int:
@@ -77,25 +77,40 @@ class SelectionResult:
 
 
 def initial_state(a) -> SelectionState:
-    """Empty-selection state of a with the n x n cached form A A^T, which
-    has the nonzero spectrum of A^T A."""
+    """Empty-selection state of a: one spectrum, a power-of-two rescale of
+    the squared norm into [1/2, 2] and the reduction to R."""
     arr = as_matrix(a)
-    return SelectionState(chosen=[], q=np.eye(arr.shape[0]), b=gram(arr, by="rows"))
+    eigs, tol = gram_spectrum(arr)
+    lam1 = float(eigs[0]) if eigs.size else 1.0
+    m = min(int(np.round(np.log2(lam1) / 2.0)), 511)  # 4**512 overflows
+    scale = 4.0**m
+    e = np.linalg.qr(arr * 2.0**-m, mode="r")
+    # downdates and eigvalsh are accurate to about eps_mach * ||A||_2^2,
+    # whatever a candidate's own top eigenvalue: smaller entries are noise
+    noise = e.shape[0] * MACHINE_EPS * lam1 / scale
+    return SelectionState(chosen=[], e=e, eigs=eigs, scale=scale, tol=tol * 2.0**-m, noise=noise)
 
 
-def _downdated(state: SelectionState, u: np.ndarray) -> np.ndarray:
-    """The cached matrix Q A A^T Q after selecting each column whose
-    direction Q a_i is a row of u, that is after shrinking Q by u u^T /
-    (u^T u): one rank-one update per row, stacked.  Exactly symmetric
-    when the cached matrix is."""
+def _scaled_eps(state: SelectionState, eps) -> float:
+    """eps, given on the input scale, on the scale of state."""
+    eps = float(eps)
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    return eps / state.scale
+
+
+def _downdated(b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The matrix b = E E^T after selecting each column whose direction
+    (a column of E) is a row of u, that is after projecting E off u: one
+    rank-one update per row, stacked.  Exactly symmetric when b is."""
     nu2 = np.einsum("ij,ij->i", u, u)[:, None, None]
-    w = u @ state.b
+    w = u @ b
     s = np.einsum("ij,ij->i", u, w)[:, None, None]
     out = u[:, :, None] * w[:, None, :]
     out += out.transpose(0, 2, 1)
     out -= (s / nu2) * (u[:, :, None] * u[:, None, :])
     out /= -nu2
-    out += state.b
+    out += b
     return out
 
 
@@ -214,61 +229,57 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.nda
     )
 
 
-def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            noise: float) -> np.ndarray:
-    """Certified scores of the candidates whose directions are the rows of
-    u, in row order: the eps-approximate largest root of the operator power
-    of each candidate's residual characteristic polynomial, with spectrum
-    entries at most noise taken as zero."""
-    dim = state.b.shape[0]
-    step = max(1, _BLOCK_BYTES // (8 * dim * dim))
-    eigs = np.concatenate([np.linalg.eigvalsh(_downdated(state, u[first : first + step]))
+def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float) -> np.ndarray:
+    """Certified scores, on state's scale, of the candidates whose directions
+    are the rows of u, in row order: the eps-approximate largest root of the
+    operator power of each candidate's residual characteristic polynomial."""
+    b = state.e @ state.e.T
+    step = max(1, _BLOCK_BYTES // (8 * b.size))
+    eigs = np.concatenate([np.linalg.eigvalsh(_downdated(b, u[first : first + step]))
                            for first in range(0, u.shape[0], step)])
     np.maximum(eigs, 0.0, out=eigs)
-    return _root_scores(eigs, power, eps, noise)
+    return _root_scores(eigs, power, eps, state.noise)
 
 
-def candidate_score(state: SelectionState, i: int, a, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
+def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
     """Score one candidate column against the current selection state.
 
     The score is the eps-approximate largest root of the operator power
     (k - |S| - 1 applications) of the candidate's residual characteristic
-    polynomial.  Smaller is better.  Raises DegenerateDirection when the
-    candidate adds nothing to the selected span.
+    polynomial, on the input scale.  Smaller is better.  Raises
+    DegenerateDirection when the candidate adds nothing to the selected span.
     """
-    arr = as_matrix(a)
-    n, d = arr.shape
-    if not 0 <= i < d:
+    if not 0 <= i < state.e.shape[1]:
         raise ValueError(f"column index {i} out of range")
     if i in state.chosen:
         raise ValueError(f"column {i} already selected")
     power = int(k) - state.iteration - 1
     if power < 0:
         raise ValueError("selection already holds k columns")
-    eigs, tol = gram_spectrum(arr)
-    u = state.q @ arr[:, i]
-    if np.sqrt(float(u @ u)) <= tol:
+    eps_s = _scaled_eps(state, eps)
+    u = state.e[:, i]
+    if np.sqrt(float(u @ u)) <= state.tol:
         raise DegenerateDirection(f"column {i} lies in the selected span")
-    noise = state.b.shape[0] * MACHINE_EPS * float(eigs[0])
-    return RootApprox(float(_scores(state, u[None, :], power, eps, noise)[0]), eps)
+    return RootApprox(float(_scores(state, u[None, :], power, eps_s)[0]) * state.scale, eps)
 
 
-def _advance(state: SelectionState, a: np.ndarray, j: int, tol: float) -> None:
-    state.b = _downdated(state, (state.q @ a[:, j])[None, :])[0]
-    state.q = projector_update(state.q, a[:, j], tol)
+def _advance(state: SelectionState, j: int) -> None:
+    """Select column j: project e off its direction."""
+    u = state.e[:, j]
+    state.e -= np.outer(u, (u @ state.e) / (u @ u))
     state.chosen.append(j)
 
 
-def _pick(state, a, power, eps, tol, tie, noise) -> tuple[int, float]:
+def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[int, float]:
     """One iteration's winner and its score: the smallest index among the
     admissible candidates scoring within tie of the minimum."""
-    cands = np.delete(np.arange(a.shape[1]), state.chosen)
-    u = (state.q @ a[:, cands]).T
-    admissible = np.sqrt(np.einsum("ij,ij->i", u, u)) > tol
+    cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
+    u = state.e[:, cands].T
+    admissible = np.sqrt(np.einsum("ij,ij->i", u, u)) > state.tol
     if not admissible.any():
         return -1, np.inf
     cands, u = cands[admissible], u[admissible]
-    scores = _scores(state, u, power, eps, noise)
+    scores = _scores(state, u, power, eps)
     pos = int(np.argmax(scores <= scores.min() + tie))
     return int(cands[pos]), float(scores[pos])
 
@@ -279,16 +290,14 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
     Runs the greedy expected-polynomial loop and returns the chosen subset
     (0-based, in selection order), the achieved squared spectral residual,
     and the per-iteration winning root approximations.  eps is measured on
-    the input scale: every reported root is within eps (or 64 ulps, if
-    larger) of the exact root it approximates, and the residual obeys the 2*k*eps guarantee against the
-    spectrum bound whenever k is in its regime.
+    the input scale and must be finite and positive: every reported root is
+    within eps (or 64 ulps, if larger) of the exact root it approximates,
+    and the residual obeys the 2*k*eps guarantee against the spectrum bound
+    whenever k is in its regime.
 
-    The matrix is rescaled by a power of two so its squared spectral norm
-    lands in [1/2, 2] before any root work; roots are scaled back on
-    output.  Every score depends on A only through A^T A, so the loop runs
-    on the min(n, d) x d triangular factor R of A (R^T R = A^T A), whose
-    cached form Q R R^T Q is never larger than either Gram side.  The final
-    residual is computed from A itself.
+    The loop runs on the residual factor of :func:`initial_state`, so
+    scores depend on A only through A^T A; the final residual is computed
+    from A itself.
 
     CertificateViolation is raised when a winning score exceeds the previous
     one by more than 2*eps plus the tie margin (the chain cannot rise), or
@@ -297,31 +306,18 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
     start = time.perf_counter()
     arr = as_matrix(a)
     k = int(k)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    eigs, tol = gram_spectrum(arr)
+    state = initial_state(arr)
+    eps_s = _scaled_eps(state, eps)
+    eigs, scale = state.eigs, state.scale
     if not 1 <= k <= eigs.size:
         raise RankExceeded(f"k={k} outside [1, rank={eigs.size}]")
     lam1 = float(eigs[0])
-
-    # power-of-two rescale of the squared norm into [1/2, 2]
-    m = int(np.round(np.log2(lam1) / 2.0))
-    scale = 4.0**m
-    a_s = arr * 2.0**-m
-    eps_s = eps / scale
-    tol_s = tol * 2.0**-m
     tie = _TIE_ULPS * MACHINE_EPS * max(1.0, lam1 / scale)
-
-    r = np.linalg.qr(a_s, mode="r")
-    state = initial_state(r)
-    # downdates and eigvalsh are accurate to about eps_mach * ||A||_2^2,
-    # whatever a candidate's own top eigenvalue: smaller entries are noise
-    noise = r.shape[0] * MACHINE_EPS * lam1 / scale
-    prev_score = float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, noise)[0])
+    prev_score = float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, state.noise)[0])
 
     roots_scaled: list[float] = []
     for l in range(1, k + 1):
-        best_idx, best_val = _pick(state, r, k - l, eps_s, tol_s, tie, noise)
+        best_idx, best_val = _pick(state, k - l, eps_s, tie)
         if best_idx < 0:
             raise AllCandidatesDegenerate(
                 f"no admissible column at iteration {l}; cannot happen for k <= rank"
@@ -332,10 +328,10 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
             )
         prev_score = best_val
         roots_scaled.append(best_val)
-        _advance(state, r, best_idx, tol_s)
+        _advance(state, best_idx)
 
     subset = list(state.chosen)
-    residual = residual_spectral_sq(arr, subset)
+    residual = _residual_sq(arr, subset, eigs.size, state.tol * np.sqrt(scale))
     roots = [RootApprox(v * scale, eps) for v in roots_scaled]
     if residual > roots[-1].value + roots[-1].epsilon + 1e-12 * lam1:
         raise CertificateViolation(

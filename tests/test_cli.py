@@ -103,6 +103,41 @@ class TestSelectCommand:
                           "-k", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_bad_eps_is_usage_error(self, capsys, eps):
+        code = main(["select", "--instance", "random:n=6,d=8,seed=3", "-k", "3",
+                     f"--eps={eps}", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "eps must be finite and positive" in captured.err
+
+
+class TestFloatRange:
+    @staticmethod
+    def _write(tmp_path, norm):
+        from cssp.instances import random_gaussian
+        from cssp.mmio import save_matrix_market
+
+        a = random_gaussian(6, 8, 3)
+        path = tmp_path / "scaled.mtx"
+        save_matrix_market(path, a * (norm / np.linalg.svd(a, compute_uv=False)[0]))
+        return str(path)
+
+    def test_select_near_top_of_float_range(self, capsys, tmp_path):
+        path = self._write(tmp_path, 1.2e154)
+        code, out = run_cli(capsys, "select", "--input", path, "-k", "3", "--format", "json")
+        assert code == 0
+        _, unscaled = run_cli(capsys, "select", "--instance", "random:n=6,d=8,seed=3",
+                              "-k", "3", "--format", "json")
+        assert json.loads(out)["subset"] == json.loads(unscaled)["subset"]
+
+    @pytest.mark.parametrize("command", ["select", "bound"])
+    def test_norm_with_infinite_square_is_usage_error(self, capsys, tmp_path, command):
+        code = main([command, "--input", self._write(tmp_path, 1e160), "-k", "3"])
+        assert code == 1
+        assert "exceeds 1.34078e+154" in capsys.readouterr().err
+
 
 class TestBoundCommand:
     def test_hard_instance_values(self, capsys):

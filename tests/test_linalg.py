@@ -7,6 +7,7 @@ from cssp.linalg import (
     char_poly,
     complement_projector,
     gram,
+    gram_spectrum,
     numerical_rank,
     projector_update,
     rank_tolerance,
@@ -229,6 +230,11 @@ class TestRank:
     def test_rank_tolerance_scales_with_norm(self):
         a = np.eye(3)
         assert rank_tolerance(1000 * a) == pytest.approx(1000 * rank_tolerance(a))
+
+    def test_norm_with_infinite_square_rejected(self):
+        assert gram_spectrum(np.array([[1.2e154]]))[0][0] == pytest.approx(1.44e308)
+        with pytest.raises(ValueError, match="exceeds 1.34078e\\+154"):
+            gram_spectrum(np.array([[1.0, 0.0], [0.0, 1e160]]))
 
     def test_complement_projector_skips_dependent_columns(self):
         a = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])

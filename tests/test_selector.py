@@ -20,13 +20,13 @@ class TestCandidateScore:
     def test_diagonal_both_columns(self):
         a = np.diag([np.sqrt(3.0), 1.0])
         state = initial_state(a)
-        assert candidate_score(state, 0, a, 1).value == pytest.approx(1.0, abs=1e-8)
-        assert candidate_score(state, 1, a, 1).value == pytest.approx(3.0, abs=1e-8)
+        assert candidate_score(state, 0, 1).value == pytest.approx(1.0, abs=1e-8)
+        assert candidate_score(state, 1, 1).value == pytest.approx(3.0, abs=1e-8)
 
     def test_hard_instance_symmetry(self):
         a = hard_instance(4, 1.0)
         state = initial_state(a)
-        scores = [candidate_score(state, i, a, 2).value for i in range(4)]
+        scores = [candidate_score(state, i, 2).value for i in range(4)]
         assert max(scores) - min(scores) <= 1e-7
         # the score is the largest root of one operator application
         expected = maxroot(
@@ -47,11 +47,22 @@ class TestCandidateScore:
         a = np.array([[1.0, 2.0], [0.0, 0.0]])
         state = initial_state(a)
         from cssp.selector import _advance
-        from cssp.linalg import rank_tolerance
 
-        _advance(state, a, 0, rank_tolerance(a))
+        _advance(state, 0)
         with pytest.raises(DegenerateDirection):
-            candidate_score(state, 1, a, 2)
+            candidate_score(state, 1, 2)
+
+    def test_scores_scale_with_the_input(self):
+        # far from unit scale the scores are the unscaled ones times f^2,
+        # and the best of them is select's first pick
+        a = random_gaussian(6, 8, 3)
+        base = [candidate_score(initial_state(a), i, 3).value for i in range(8)]
+        for f in (1e-100, 1e100, 1e150):
+            eps = 1e-9 * f * f
+            state = initial_state(f * a)
+            got = [candidate_score(state, i, 3, eps).value for i in range(8)]
+            assert got == pytest.approx([f * f * v for v in base], rel=1e-12, abs=0.0)
+            assert int(np.argmin(got)) == select(f * a, 3, eps=eps).subset[0]
 
 
 class TestSelect:
@@ -186,7 +197,7 @@ class TestSelect:
     def test_candidate_score_wide_state(self):
         a = random_gaussian(3, 7, 13)
         state = initial_state(a)
-        scores = {i: candidate_score(state, i, a, 2).value for i in range(7)}
+        scores = {i: candidate_score(state, i, 2).value for i in range(7)}
         full = select(a, 2)
         assert full.subset[0] == min(scores, key=lambda i: (scores[i], i))
 
@@ -203,30 +214,59 @@ class TestSelect:
             )
 
     def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            select(np.eye(2), 1, eps=0.0)
+        state = initial_state(np.eye(2))
+        for eps in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                select(np.eye(2), 1, eps=eps)
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                candidate_score(state, 0, 1, eps)
+
+    def test_top_of_float_range(self):
+        # at ||A||_2 = 1.2e154 the rescale exponent rounds to 512 and 4**512
+        # overflows; above sqrt(float max) the squared norm itself does
+        a = random_gaussian(6, 8, 3)
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        assert select(a * (1.2e154 / top), 3).subset == select(a, 3).subset
+        with pytest.raises(ValueError, match="exceeds 1.34078e\\+154"):
+            select(a * (1e160 / top), 3)
+
+    def test_one_spectrum_per_selection(self, monkeypatch):
+        import cssp.linalg as linalg_mod
+
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return gram_spectrum(a)
+
+        for module in (selector_mod, linalg_mod):
+            monkeypatch.setattr(module, "gram_spectrum", counted)
+        a = random_gaussian(6, 8, 3)
+        select(a, 3)
+        assert len(calls) == 1
+        state = initial_state(a)
+        calls.clear()
+        candidate_score(state, 0, 3)
+        assert calls == []
 
 
 class TestStateConsistency:
     def test_cached_matrix_matches_rebuild(self):
-        # the incrementally updated product matrix must track a from-scratch
-        # rebuild through a whole selection run
-        from cssp.linalg import complement_projector, rank_tolerance, symmetrize
+        # the incrementally projected residual factor must track a
+        # from-scratch rebuild of the residual Gram matrix A^T Q_S A
+        # through a whole selection run
+        from cssp.linalg import complement_projector
         from cssp.selector import _advance
 
         for seed, (n, d) in enumerate(((7, 7), (7, 7), (12, 7))):
             a = random_gaussian(n, d, seed)
-            tol = rank_tolerance(a)
             state = initial_state(a)
             norm_sq = spectrum_of(a).eigs[0]
             for j in (4, 1, 6, 2):
-                _advance(state, a, j, tol)
-                q = complement_projector(a, state.chosen)
-                rebuilt = symmetrize(q @ a @ a.T @ q)
-                drift = np.linalg.norm(state.b - rebuilt)
+                _advance(state, j)
+                rebuilt = a.T @ complement_projector(a, state.chosen) @ a
+                drift = np.linalg.norm(state.scale * (state.e.T @ state.e) - rebuilt)
                 assert drift <= 1e-7 * (1.0 + norm_sq)
-                assert np.array_equal(state.q, state.q.T)
-                assert abs(np.trace(state.q) - (n - len(state.chosen))) <= 1e-8
 
 
 class TestTieBreak:
@@ -264,18 +304,17 @@ class TestBatchedScores:
         ids=["tall", "square", "wide", "rank-deficient"],
     )
     def test_match_char_poly_route(self, a):
-        from cssp.linalg import complement_projector, rank_tolerance, symmetrize
+        from cssp.linalg import complement_projector, symmetrize
         from cssp.selector import _advance, _scores
 
         eps = 1e-9
         state = initial_state(a)
-        noise = state.b.shape[0] * MACHINE_EPS * spectrum_of(a).eigs[0]
-        _advance(state, a, 0, rank_tolerance(a))
+        _advance(state, 0)
         cands = list(range(1, a.shape[1]))
-        u = (state.q @ a[:, cands]).T
+        u = state.e[:, cands].T
         polys = [char_poly(symmetrize(a.T @ complement_projector(a, [0, i]) @ a)) for i in cands]
         for power in (0, 1, 3):
-            scores = _scores(state, u, power, eps, noise)
+            scores = state.scale * _scores(state, u, power, eps / state.scale)
             refs = [maxroot(polar_power(p, power), eps).value for p in polys]
             for s, ref in zip(scores, refs):
                 assert abs(s - ref) <= 2 * eps
@@ -288,7 +327,7 @@ class TestBatchedScores:
         a = power_law(24, 24, 24, 2.0, 1.0, 5)
         k, eps = 20, 1e-9
         state = initial_state(a)
-        got = [candidate_score(state, i, a, k, eps).value for i in range(24)]
+        got = [candidate_score(state, i, k, eps).value for i in range(24)]
         for value, ref in zip(got, _mp_first_scores(mpmath, a, k - 1)):
             assert abs(value - float(ref)) <= eps
 
@@ -335,8 +374,7 @@ def _mp_first_scores(mpmath, a, power):
 
 def _spectra(n, ratio, kind, seed, picked):
     """Candidate spectra at one iteration of a selection run, the noise
-    level and the rank left, as select computes them: the input is rescaled
-    to a squared norm in [1/2, 2] and reduced to R, and up to picked random
+    level and the rank left, from select's own state: up to picked random
     columns are selected first."""
     rng = np.random.Generator(np.random.Philox(seed))
     d = max(1, round(n * ratio))
@@ -353,19 +391,14 @@ def _spectra(n, ratio, kind, seed, picked):
     else:
         spread = {"gauss": 0.0, "scaled8": 8.0, "scaled100": 100.0}[kind]
         a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-spread, spread, size=d)
-    eigs, tol = gram_spectrum(a)
-    m = int(np.round(np.log2(eigs[0]) / 2.0))
-    r = np.linalg.qr(a * 2.0**-m, mode="r")
-    tol *= 2.0**-m
-    state = initial_state(r)
+    state = initial_state(a)
     for j in rng.permutation(a.shape[1])[:picked]:
-        if state.iteration < eigs.size - 1 and np.linalg.norm(state.q @ r[:, j]) > tol:
-            selector_mod._advance(state, r, int(j), tol)
-    u = (state.q @ r).T
-    u = u[np.linalg.norm(u, axis=1) > tol]
-    mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(state, u)), 0.0)
-    noise = r.shape[0] * MACHINE_EPS * eigs[0] * 4.0**-m
-    return mu, noise, eigs.size - state.iteration
+        if state.iteration < state.eigs.size - 1 and np.linalg.norm(state.e[:, j]) > state.tol:
+            selector_mod._advance(state, int(j))
+    u = state.e.T
+    u = u[np.linalg.norm(u, axis=1) > state.tol]
+    mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(state.e @ state.e.T, u)), 0.0)
+    return mu, state.noise, state.eigs.size - state.iteration
 
 
 def _mp_score(mpmath, mu, power, noise):
