@@ -24,7 +24,6 @@ from .errors import (
     DegenerateDirection,
     DimensionMismatch,
     EmptySpectrum,
-    NoConvergence,
     NonPositiveEigenvalue,
     NoRootInRange,
     NotFullColumnRank,

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateDirection,
     DimensionMismatch,
     EmptySpectrum,
-    NoConvergence,
     NonPositiveEigenvalue,
     NoRootInRange,
     NotFullColumnRank,
@@ -52,7 +51,6 @@ _USAGE_ERRORS = (
     OSError,
 )
 _NUMERICAL_ERRORS = (
-    NoConvergence,
     ZeroPolynomial,
     NoRootInRange,
     AllCandidatesDegenerate,
@@ -70,20 +68,26 @@ def _parse_threads(value: str) -> int:
     return n
 
 
-def parse_instance_spec(spec: str):
-    """Build a matrix from a spec like 'hard:d=4,delta=1'.
-
-    Kinds: hard (d, delta), power (n, d, t, s, c, seed) and random
-    (n, d, seed).  Power defaults: t=min(n,d), s=2, c=1, seed=0.
-    """
+def _spec_params(spec: str) -> tuple[str, dict]:
+    """Split an instance spec like 'hard:d=4, delta=1' into its lower-cased
+    kind and a dict of its key=value parameters, whitespace stripped."""
     kind, _, rest = spec.partition(":")
-    kind = kind.strip().lower()
     params = {}
     for item in filter(None, rest.split(",")):
         key, sep, val = item.partition("=")
         if not sep:
             raise ValueError(f"bad instance parameter {item!r}, expected key=value")
         params[key.strip()] = val.strip()
+    return kind.strip().lower(), params
+
+
+def parse_instance_spec(spec: str):
+    """Build a matrix from a spec like 'hard:d=4,delta=1'.
+
+    Kinds: hard (d, delta), power (n, d, t, s, c, seed) and random
+    (n, d, seed).  Power defaults: t=min(n,d), s=2, c=1, seed=0.
+    """
+    kind, params = _spec_params(spec)
     try:
         if kind == "hard":
             return hard_instance(int(params["d"]), float(params.get("delta", 1.0)))
@@ -203,11 +207,10 @@ def _cmd_bound(args) -> int:
 
 
 def _hard_params(args):
-    spec = getattr(args, "instance", None)
-    if not spec or not spec.strip().lower().startswith("hard"):
+    """(d, delta) of a hard --instance spec, already built by parse_instance_spec."""
+    kind, params = _spec_params(getattr(args, "instance", None) or "")
+    if kind != "hard":
         return None
-    _, _, rest = spec.partition(":")
-    params = dict(item.partition("=")[::2] for item in filter(None, rest.split(",")))
     return int(params["d"]), float(params.get("delta", 1.0))
 
 

@@ -9,10 +9,6 @@ class DegenerateDirection(CsspError):
     """The candidate vector lies (numerically) inside the selected span."""
 
 
-class NoConvergence(CsspError):
-    """An iterative eigenvalue sweep failed to converge."""
-
-
 class ZeroPolynomial(CsspError):
     """Root operations on the identically-zero polynomial."""
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDirection, NoConvergence
+from .errors import DegenerateDirection
 
 MACHINE_EPS = float(np.finfo(float).eps)
 _MAX_NORM = float(np.sqrt(np.finfo(float).max))  # largest norm with a finite square
+_MIN_SIGMA = float(np.sqrt(np.finfo(float).smallest_subnormal))  # smallest with a nonzero square
 
 
 def as_matrix(a) -> np.ndarray:
@@ -38,68 +39,33 @@ def _as_sym(m) -> np.ndarray:
     return symmetrize(arr)
 
 
-def gram(a, by: str = "columns") -> np.ndarray:
-    """A^T A (by="columns") or A A^T (by="rows"), exactly symmetric."""
+def gram(a) -> np.ndarray:
+    """A^T A, exactly symmetric."""
     arr = as_matrix(a)
-    if by == "columns":
-        g = arr.T @ arr
-    elif by == "rows":
-        g = arr @ arr.T
-    else:
-        raise ValueError("by must be 'columns' or 'rows'")
-    return symmetrize(g)
+    return symmetrize(arr.T @ arr)
 
 
-def sym_eigenvalues(m, max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, descending.
+def sym_eigenvalues(m) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, descending (LAPACK's eigvalsh).
 
-    Cyclic Jacobi sweeps run until the off-diagonal mass is at rounding
-    level.  Raises NoConvergence if the sweep budget is exhausted, which
-    signals pathological input rather than a tuning problem.
+    Accurate to about eps * ||M||_2 in absolute terms; asymmetric input
+    raises ValueError.
     """
-    a = _as_sym(m).copy()
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    scale = max(1.0, float(np.max(np.abs(a))))
-    target = n * MACHINE_EPS * scale
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.triu(a, 1) ** 2)))
-        if off <= target:
-            return np.sort(np.diag(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e8:
-                    t = 0.5 / theta  # asymptotic form; theta**2 would overflow
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    raise NoConvergence(f"Jacobi sweeps did not converge in {max_sweeps} sweeps")
+    return np.linalg.eigvalsh(_as_sym(m))[::-1].copy()
 
 
 def gram_spectrum(a) -> tuple[np.ndarray, float]:
     """Positive Gram spectrum and rank cutoff of a matrix: (eigs, tol).
 
-    eigs holds the eigenvalues of A^T A above tol**2, descending;
-    tol = max(n, d) * eps * ||A||_2 is the numerical-rank cutoff for
-    directions.  The singular values of A come from LAPACK's SVD, which
-    gets them to about eps * ||A||_2, so the cutoff separates rank from
-    noise; Gram eigenvalues (eigvalsh of A^T A) are accurate only to
+    eigs holds sigma**2 for the singular values sigma of A above tol,
+    descending; tol = max(n, d) * eps * ||A||_2 is the numerical-rank
+    cutoff for directions.  The singular values come from LAPACK's SVD,
+    which gets them to about eps * ||A||_2, so the cutoff separates rank
+    from noise; Gram eigenvalues (eigvalsh of A^T A) are accurate only to
     eps * ||A||_2**2 and would count noise as rank.  Raises ValueError
-    when ||A||_2 exceeds sqrt(float max), where ||A||_2**2 overflows.
+    when ||A||_2 exceeds sqrt(float max), where ||A||_2**2 overflows, and
+    when a kept sigma is below sqrt(smallest subnormal), where its square
+    underflows to 0.
     """
     arr = as_matrix(a)
     n, d = arr.shape
@@ -108,8 +74,12 @@ def gram_spectrum(a) -> tuple[np.ndarray, float]:
         raise ValueError(f"spectral norm {sigma[0]:.6g} exceeds {_MAX_NORM:.6g}, past which "
                          "its square overflows")
     tol = max(n, d) * MACHINE_EPS * float(sigma[0])
-    eigs = sigma * sigma
-    return eigs[eigs > tol * tol], tol
+    kept = sigma[sigma > tol]
+    eigs = kept * kept
+    if eigs.size and eigs[-1] == 0.0:
+        raise ValueError(f"singular value {kept[-1]:.6g} is below {_MIN_SIGMA:.6g}, past which "
+                         "its square underflows")
+    return eigs, tol
 
 
 def spectral_norm_sq(a) -> float:
@@ -127,52 +97,13 @@ def numerical_rank(a) -> int:
     return int(gram_spectrum(a)[0].size)
 
 
-def _householder_tridiagonal(m: np.ndarray):
-    """Reduce a symmetric matrix to tridiagonal form; returns (diag, offdiag)."""
-    a = m.copy()
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        s = np.copysign(nx, x[0])
-        v = x.copy()
-        v[0] += s
-        vn2 = float(v @ v)
-        if vn2 == 0.0:
-            continue
-        beta = 2.0 / vn2
-        sub = a[k + 1 :, k + 1 :]
-        w = sub @ v
-        u = beta * w - (0.5 * beta * beta * float(v @ w)) * v
-        sub -= np.outer(v, u) + np.outer(u, v)
-        a[k + 1 :, k] = 0.0
-        a[k, k + 1 :] = 0.0
-        a[k + 1, k] = -s
-        a[k, k + 1] = -s
-    return np.diag(a).copy(), np.diag(a, 1).copy()
-
-
 def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial det[x I - M] of a symmetric matrix.
 
-    Householder tridiagonalization followed by the three-term recurrence on
-    leading principal minors; O(m^3) and stable for the sizes this package
-    targets.  Ascending coefficients, nominal degree = dim(M).
+    Built from the eigenvalues of :func:`sym_eigenvalues` as the product of
+    (x - lambda_i).  Ascending coefficients, nominal degree = dim(M).
     """
-    a = _as_sym(m)
-    n = a.shape[0]
-    diag, off = _householder_tridiagonal(a)
-    prev = np.array([1.0])
-    cur = np.array([-diag[0], 1.0])
-    for i in range(1, n):
-        nxt = np.zeros(i + 2)
-        nxt[1:] = cur
-        nxt[: i + 1] -= diag[i] * cur
-        nxt[: i] -= (off[i - 1] ** 2) * prev
-        prev, cur = cur, nxt
-    return cur
+    return np.polynomial.polynomial.polyfromroots(sym_eigenvalues(m))
 
 
 def projector_update(q, b, tol: float | None = None) -> np.ndarray:

@@ -22,6 +22,7 @@ from .linalg import (
     check_subset,
     complement_projector,
     gram,
+    gram_spectrum,
     numerical_rank,
     projector_update,
     rank_tolerance,
@@ -162,7 +163,7 @@ def gram_det_sum(a, k: int) -> float:
     """Sum of det(A_S^T A_S) over k-subsets, via the eigenvalue route.
 
     Equals the elementary symmetric polynomial of the positive Gram
-    eigenvalues, so it stays cheap at any width.
+    eigenvalues (of `gram_spectrum`), so it stays cheap at any width.
     """
     arr = as_matrix(a)
     k = int(k)
@@ -170,10 +171,7 @@ def gram_det_sum(a, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0
-    tol = rank_tolerance(arr)
-    side = "columns" if arr.shape[1] <= arr.shape[0] else "rows"
-    eigs = sym_eigenvalues(gram(arr, by=side))
-    eigs = eigs[eigs > tol * tol]
+    eigs, _ = gram_spectrum(arr)
     if k > eigs.size:
         return 0.0
     esym = np.zeros(k + 1)

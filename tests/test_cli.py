@@ -138,6 +138,22 @@ class TestFloatRange:
         assert code == 1
         assert "exceeds 1.34078e+154" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["select", "bound"])
+    @pytest.mark.parametrize("which", ["graded", "gaussian"])
+    def test_square_underflow_is_usage_error(self, capsys, tmp_path, command, which):
+        from cssp.instances import random_gaussian
+        from cssp.mmio import save_matrix_market
+
+        if which == "graded":
+            u, _, vt = np.linalg.svd(random_gaussian(6, 6, 1))
+            a = (u * np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14])) @ vt * 1e-150
+        else:
+            a = random_gaussian(6, 8, 3) * 1e-163
+        path = tmp_path / "tiny.mtx"
+        save_matrix_market(path, a)
+        assert main([command, "--input", str(path), "-k", "5"]) == 1
+        assert "below 2.22276e-162" in capsys.readouterr().err
+
 
 class TestBoundCommand:
     def test_hard_instance_values(self, capsys):
@@ -150,6 +166,12 @@ class TestBoundCommand:
         assert report["bound"] == pytest.approx(11.0 / 3.0, rel=1e-9)
         assert report["lower_bound"] == pytest.approx(11.0 / 6.0, rel=1e-9)
         assert report["applicable"] is True
+
+    @pytest.mark.parametrize("spec", ["hard:d=6, delta=2", "hard: d=6,delta=2"])
+    def test_spec_whitespace(self, capsys, spec):
+        code, out = run_cli(capsys, "bound", "--instance", spec, "-k", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["lower_bound"] == pytest.approx(40.0 / 7.0, rel=1e-12)
 
     def test_no_lower_bound_for_random(self, capsys):
         _, out = run_cli(capsys, "bound", "--instance", "random:n=5,d=5,seed=2",
@@ -195,6 +217,17 @@ class TestGenAndBench:
             assert row["residual_sq"] <= row["bound"] + 1e-9
             assert row["lower_bound"] <= row["residual_sq"] + 1e-9
 
+    @pytest.mark.parametrize("spec", ["hard:d=6, delta=2", "hard: d=6,delta=2"])
+    def test_bench_spec_whitespace(self, capsys, spec):
+        code, out = run_cli(capsys, "bench", "--instance", spec, "--kmax", "3",
+                            "--format", "json")
+        assert code == 0
+        _, ref = run_cli(capsys, "bench", "--instance", "hard:d=6,delta=2", "--kmax", "3",
+                         "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert rows == json.loads(ref)["rows"]
+        assert rows[2]["lower_bound"] == pytest.approx(40.0 / 7.0, rel=1e-12)
+
     def test_bench_csv(self, capsys):
         code, out = run_cli(capsys, "bench", "--instance", "hard:d=4,delta=1",
                             "--kmin", "2", "--kmax", "3", "--format", "csv")
@@ -232,10 +265,10 @@ class TestExitCodes:
 
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         import cssp.cli as cli_mod
-        from cssp.errors import NoConvergence
+        from cssp.errors import NoRootInRange
 
         def boom(*args, **kwargs):
-            raise NoConvergence("stub")
+            raise NoRootInRange("stub")
 
         monkeypatch.setattr(cli_mod, "select", boom)
         code = main(["select", "--instance", "hard:d=3,delta=1", "-k", "1"])

@@ -115,12 +115,17 @@ class TestDeterminants:
         assert gram_det_sum(a, 0) == 1.0
 
     def test_subset_sum_two_routes(self):
-        for seed in range(10):
-            a = random_gaussian(5, 7, seed + 60)
+        # the rank-2 products have no nonzero 3-subset determinant; Gram
+        # eigenvalues would count their rounding noise as rank
+        rank2 = [random_gaussian(6, 2, 1) @ random_gaussian(2, 8, 2),
+                 random_gaussian(8, 2, 1) @ random_gaussian(2, 6, 2)]
+        for a in [random_gaussian(5, 7, seed + 60) for seed in range(10)] + rank2:
             for k in range(0, 5):
                 fast = gram_det_sum(a, k)
                 slow = gram_det_sum_enumerated(a, k)
                 assert fast == pytest.approx(slow, rel=1e-8)
+        for a in rank2:
+            assert gram_det_sum(a, 3) == 0.0
 
 
 class TestVolumeSamplingMeans:

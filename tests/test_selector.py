@@ -230,6 +230,15 @@ class TestSelect:
         with pytest.raises(ValueError, match="exceeds 1.34078e\\+154"):
             select(a * (1e160 / top), 3)
 
+    def test_bottom_of_float_range(self):
+        # sigma**2 of these inputs is subnormal but nonzero, so rank and
+        # subsets are the unscaled ones
+        a = random_gaussian(6, 8, 3)
+        assert select(a * 1e-160, 3).subset == select(a, 3).subset == [7, 1, 6]
+        u, _, vt = np.linalg.svd(random_gaussian(6, 6, 1))
+        graded = (u * np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14])) @ vt
+        assert select(graded * 1e-140, 6).subset == select(graded, 6).subset
+
     def test_one_spectrum_per_selection(self, monkeypatch):
         import cssp.linalg as linalg_mod
 
