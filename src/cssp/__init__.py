@@ -70,8 +70,6 @@ from .polynomial import (
     maxroot,
     minroot,
     polar_power,
-    poly_eval,
-    sturm_count,
 )
 from .selector import (
     DEFAULT_EPS,

@@ -48,7 +48,9 @@ def spectrum_info(eigs) -> SpectrumInfo:
 
     alpha is t / sum(1/lam_i); beta = (1/lam_t - 1/alpha) / (1/lam_t - 1/lam_1),
     which lies in (0, 1) whenever lam_1 > lam_t.  An equal spectrum is
-    reported with beta = 1 and the degenerate flag set.
+    reported with beta = 1 and the degenerate flag set.  The constants are
+    computed on the spectrum scaled by a power of two to put lam_1 in
+    [1/2, 1), which is exact and keeps 1/lam finite for subnormal lam.
     """
     arr = np.asarray(eigs, dtype=float).reshape(-1)
     if arr.size == 0:
@@ -58,14 +60,17 @@ def spectrum_info(eigs) -> SpectrumInfo:
     if np.any(np.diff(arr) > 0.0):
         raise ValueError("eigenvalues must be sorted descending")
     t = arr.size
-    alpha = t / float(np.sum(1.0 / arr))
-    lam1, lamt = float(arr[0]), float(arr[-1])
+    m = -int(np.frexp(arr[0])[1])
+    scaled = np.ldexp(arr, m)
+    alpha = t / float(np.sum(1.0 / scaled))
+    lam1, lamt = float(scaled[0]), float(scaled[-1])
     degenerate = (lam1 - lamt) <= DEGENERATE_REL_TOL * lam1
     if degenerate:
         beta = 1.0
     else:
         beta = (1.0 / lamt - 1.0 / alpha) / (1.0 / lamt - 1.0 / lam1)
-    return SpectrumInfo(t=t, eigs=arr.copy(), alpha=alpha, beta=beta, degenerate=degenerate)
+    return SpectrumInfo(t=t, eigs=arr.copy(), alpha=float(np.ldexp(alpha, -m)), beta=beta,
+                        degenerate=degenerate)
 
 
 def spectrum_of(a) -> SpectrumInfo:

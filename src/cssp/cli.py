@@ -68,6 +68,16 @@ def _parse_threads(value: str) -> int:
     return n
 
 
+def _parse_eps(value: str) -> float:
+    try:
+        eps = float(value)
+    except ValueError:
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise argparse.ArgumentTypeError(f"eps must be finite and positive, got {value!r}")
+    return eps
+
+
 def _spec_params(spec: str) -> tuple[str, dict]:
     """Split an instance spec like 'hard:d=4, delta=1' into its lower-cased
     kind and a dict of its key=value parameters, whitespace stripped."""
@@ -249,6 +259,8 @@ def _cmd_bench(args) -> int:
     info = spectrum_of(matrix)
     k_lo = args.kmin if args.kmin is not None else 1
     k_hi = args.kmax if args.kmax is not None else max(info.t - 1, 1)
+    if k_lo > k_hi:
+        raise ValueError(f"empty k range: kmin={k_lo} > kmax={k_hi}")
     hard_params = _hard_params(args)
     rows = []
     for k in range(k_lo, k_hi + 1):
@@ -279,7 +291,7 @@ def _add_io_arguments(sub, need_k=True, instance_only=False):
                          help="transpose the file after reading")
     if need_k:
         sub.add_argument("-k", type=int, required=True, help="number of columns to pick")
-    sub.add_argument("--eps", type=float, default=DEFAULT_EPS,
+    sub.add_argument("--eps", type=_parse_eps, default=DEFAULT_EPS,
                      help="root approximation tolerance (default 1e-9)")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sub.add_argument("--threads", type=_parse_threads, default=1,

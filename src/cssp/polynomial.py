@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import NoRootInRange, ZeroPolynomial
 
-# Relative threshold below which coefficients are treated as zero during
-# Sturm-chain work.  Floating-point Euclidean division otherwise manufactures
-# spurious low-degree remainders that flip sign counts.
-STURM_TRUNCATION = 1e-12
+# Relative threshold below which a coefficient counts as zero in the
+# balanced basis of _prepare, where the nonzero roots have magnitude near
+# one: leading ones are stripped, and low ones mark a root at the origin.
+_TRUNCATION = 1e-12
 
 # Values this large are rescaled mid-Horner to keep sign evaluation finite.
 _HORNER_RESCALE = 1e150
@@ -87,53 +87,13 @@ def polar_power(c, k: int) -> np.ndarray:
     return out
 
 
-def poly_eval(c, x: float) -> float:
-    """Evaluate by Horner's rule."""
-    p = as_poly(c)
-    acc = 0.0
-    for coef in p[::-1]:
-        acc = acc * x + coef
-    return acc
-
-
-def _strip_leading(p: np.ndarray, rel_tol: float = STURM_TRUNCATION) -> np.ndarray:
+def _strip_leading(p: np.ndarray, rel_tol: float = _TRUNCATION) -> np.ndarray:
     """Drop numerically-zero high-order coefficients (relative threshold)."""
     scale = np.max(np.abs(p))
     if scale == 0.0:
         return p[:1].copy()
     keep = np.nonzero(np.abs(p) > rel_tol * scale)[0]
     return p[: keep[-1] + 1].copy()
-
-
-def _polydiv(num: np.ndarray, den: np.ndarray):
-    """(quotient, remainder) of num / den for ascending arrays, deg(den) >= 1."""
-    rem = num.copy()
-    dd = den.size - 1
-    lead = den[-1]
-    quot = np.zeros(max(1, rem.size - dd))
-    for i in range(rem.size - 1, dd - 1, -1):
-        q = rem[i] / lead
-        quot[i - dd] = q
-        if q != 0.0:
-            rem[i - dd : i + 1] -= q * den
-        rem[i] = 0.0
-    return quot, (rem[:dd] if dd >= 1 else rem[:1])
-
-
-def _euclid_chain(p0: np.ndarray) -> list[np.ndarray]:
-    """Remainder chain of a stripped unit-scale polynomial."""
-    chain = [p0]
-    if p0.size == 1:
-        return chain
-    p1 = _pow2_normalize(_strip_leading(derivative(p0)))
-    chain.append(p1)
-    while chain[-1].size > 1:
-        rem = -_polydiv(chain[-2], chain[-1])[1]
-        top = np.max(np.abs(rem))
-        if top <= STURM_TRUNCATION:
-            break
-        chain.append(_pow2_normalize(_strip_leading(rem)))
-    return chain
 
 
 def _root_scale_exp(p0: np.ndarray) -> int:
@@ -222,35 +182,11 @@ def _prepare(c):
     scale = 2.0**exp
     if exp != 0:
         p0 = _strip_leading(_rescale_coeffs(p0, exp))
-    low = np.nonzero(np.abs(p0) > STURM_TRUNCATION * np.max(np.abs(p0)))[0]
+    low = np.nonzero(np.abs(p0) > _TRUNCATION * np.max(np.abs(p0)))[0]
     zero_root = low.size > 0 and low[0] > 0
     if zero_root:
         p0 = _pow2_normalize(_strip_leading(p0[low[0] :]))
     return p0, zero_root, scale
-
-
-def sturm_chain(c):
-    """Sturm data for distinct-root counting: (chain, zero_root, scale).
-
-    Euclidean remainder chain of the variable-rescaled square-free part;
-    remainders below the truncation threshold end the chain, and repeated
-    roots are removed by dividing out the chain's last element until the
-    chain terminates in a constant.  Sign-variation counts on the result
-    give distinct nonzero roots of the original polynomial at y = x/scale;
-    positive coefficient rescaling along the way cannot change any sign.
-    """
-    p0, zero_root, scale = _prepare(c)
-    chain = _euclid_chain(p0)
-    for _ in range(p0.size):
-        if chain[-1].size == 1:
-            break
-        quot = _polydiv(chain[0], chain[-1])[0]
-        quot = _strip_leading(quot)
-        qtop = np.max(np.abs(quot))
-        if qtop == 0.0 or quot.size == 1:
-            break
-        chain = _euclid_chain(quot / qtop)
-    return chain, zero_root, scale
 
 
 def _fourier_matrix(q: np.ndarray) -> np.ndarray:
@@ -259,19 +195,13 @@ def _fourier_matrix(q: np.ndarray) -> np.ndarray:
     Sign variations of this sequence count roots with multiplicity in
     half-open intervals, exactly so when every root of q is real.  Building
     it involves no polynomial division, which keeps root isolation stable
-    at degrees where float Euclidean remainder chains fall apart.
+    at high degree.
     """
-    rows = [q]
-    while rows[-1].size > 1:
-        rows.append(_pow2_normalize(derivative(rows[-1])))
-    return _chain_matrix(rows)
-
-
-def _chain_matrix(chain: list[np.ndarray]) -> np.ndarray:
-    width = max(p.size for p in chain)
-    mat = np.zeros((len(chain), width))
-    for i, p in enumerate(chain):
-        mat[i, : p.size] = p
+    mat = np.zeros((q.size, q.size))
+    row = q
+    for i in range(q.size):
+        mat[i, : row.size] = row
+        row = _pow2_normalize(derivative(row))
     return mat
 
 
@@ -292,18 +222,6 @@ def _variations_at(mat: np.ndarray, x: float) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def sturm_count(c, lo: float, hi: float) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    chain, zero_root, s = sturm_chain(c)
-    mat = _chain_matrix(chain)
-    count = max(0, _variations_at(mat, lo / s) - _variations_at(mat, hi / s))
-    if zero_root and lo < 0.0 <= hi:
-        count += 1
-    return count
-
-
 def cauchy_bound(c) -> float:
     """1 + max|a_i / a_lead|: every root lies in [-bound, bound]."""
     p = _strip_leading(as_poly(c))
@@ -317,8 +235,8 @@ def cauchy_bound(c) -> float:
 def _extreme_root(c, eps: float, largest: bool) -> RootApprox:
     """Largest or smallest root in (0, U], U the Cauchy bound, bisected on
     derivative-sequence sign variations until the bracket is below eps."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     q, zero_root, s = _prepare(c)
     mat = _fourier_matrix(q)
     lo, hi = 0.0, cauchy_bound(q)

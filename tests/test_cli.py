@@ -154,6 +154,34 @@ class TestFloatRange:
         assert main([command, "--input", str(path), "-k", "5"]) == 1
         assert "below 2.22276e-162" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor", [1e-155, 1e-158])
+    def test_subnormal_spectrum_scales_bound(self, capsys, tmp_path, factor):
+        from cssp.instances import random_gaussian
+        from cssp.mmio import save_matrix_market
+
+        path = tmp_path / "tiny.mtx"
+        save_matrix_market(path, random_gaussian(6, 8, 3) * factor)
+        for command, keys in (("select", ["bound"]), ("bound", ["bound", "alpha"])):
+            code, out = run_cli(capsys, command, "--input", str(path), "-k", "3",
+                                "--format", "json")
+            assert code == 0
+            _, ref = run_cli(capsys, command, "--instance", "random:n=6,d=8,seed=3",
+                             "-k", "3", "--format", "json")
+            got, want = json.loads(out), json.loads(ref)
+            for key in keys:
+                assert got[key] / factor / factor == pytest.approx(want[key], rel=1e-6)
+
+    @pytest.mark.parametrize("command", ["select", "bound"])
+    def test_deep_subnormal_spectrum_runs(self, capsys, tmp_path, command):
+        from cssp.instances import random_gaussian
+        from cssp.mmio import save_matrix_market
+
+        path = tmp_path / "tiny.mtx"
+        save_matrix_market(path, random_gaussian(6, 8, 3) * 1e-160)
+        code, out = run_cli(capsys, command, "--input", str(path), "-k", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["bound"] > 0.0
+
 
 class TestBoundCommand:
     def test_hard_instance_values(self, capsys):
@@ -228,6 +256,14 @@ class TestGenAndBench:
         assert rows == json.loads(ref)["rows"]
         assert rows[2]["lower_bound"] == pytest.approx(40.0 / 7.0, rel=1e-12)
 
+    def test_empty_k_range_is_usage_error(self, capsys):
+        code = main(["bench", "--instance", "hard:d=5,delta=1", "--kmin", "3", "--kmax", "1",
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "kmin=3 > kmax=1" in captured.err
+
     def test_bench_csv(self, capsys):
         code, out = run_cli(capsys, "bench", "--instance", "hard:d=4,delta=1",
                             "--kmin", "2", "--kmax", "3", "--format", "csv")
@@ -254,6 +290,18 @@ class TestUsageErrors:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command", ["bound", "verify", "gen", "bench"])
+    def test_bad_eps_is_usage_error_in_every_command(self, capsys, tmp_path, command, eps):
+        extra = {"gen": ["-o", str(tmp_path / "gen.mtx")], "bench": []}.get(command, ["-k", "3"])
+        code = main([command, "--instance", "random:n=6,d=8,seed=3", *extra,
+                     f"--eps={eps}", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "eps must be finite and positive" in captured.err
+        assert not (tmp_path / "gen.mtx").exists()
+
     def test_verification_failure_exits_2(self, capsys, monkeypatch):
         import cssp.cli as cli_mod
 

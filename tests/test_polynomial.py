@@ -13,8 +13,6 @@ from cssp.polynomial import (
     maxroot,
     minroot,
     polar_power,
-    poly_eval,
-    sturm_count,
 )
 
 
@@ -37,7 +35,7 @@ class TestFlip:
 
     def test_flip_at_zero_is_top_coefficient(self):
         p = coeffs(2.0, -1.0, 7.0)
-        assert poly_eval(flip(p), 0.0) == 7.0
+        assert npoly.polyval(0.0, flip(p)) == 7.0
 
 
 class TestDerivative:
@@ -123,6 +121,11 @@ class TestPolarPower:
                 assert cur <= prev + 2 * eps + 1e-7
                 prev = cur
 
+    @staticmethod
+    def _reflect(q):
+        # q(-x): its roots are the negated roots of q
+        return q * (-1.0) ** np.arange(q.size)
+
     def test_no_negative_roots_appear(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -130,36 +133,11 @@ class TestPolarPower:
             roots = rng.uniform(0.05, 2.5, size=t)
             p = npoly.polyfromroots(np.concatenate([np.zeros(2), roots]))
             for k in range(t + 1):
-                assert sturm_count(polar_power(p, k), -100.0, -1e-12) == 0
+                assert maxroot(self._reflect(polar_power(p, k)), 1e-9).value == 0.0
 
-
-class TestSturmCount:
-    def test_examples(self):
-        assert sturm_count(coeffs(3, -4, 1), 0, 2) == 1
-        assert sturm_count(coeffs(3, -4, 1), 0, 4) == 2
-        assert sturm_count(coeffs(1, 0, 1), -10, 10) == 0
-
-    def test_half_open_convention(self):
-        # roots 1 and 3: a root exactly at hi counts, at lo does not
-        assert sturm_count(coeffs(3, -4, 1), 0, 3) == 2
-        assert sturm_count(coeffs(3, -4, 1), 1, 3) == 1
-
-    def test_distinct_roots_only(self):
-        p = npoly.polyfromroots([1.0, 1.0, 1.0, 3.0])
-        assert sturm_count(p, 0, 4) == 2
-
-    def test_zero_root_counted_when_interval_covers_origin(self):
-        p = npoly.polyfromroots([0.0, 0.0, 2.0])
-        assert sturm_count(p, -1, 1) == 1
-        assert sturm_count(p, -1, 3) == 2
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            sturm_count(coeffs(0, 0, 0), -1, 1)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            sturm_count(coeffs(3, -4, 1), 2, 2)
+    def test_reflection_reports_a_negative_root(self):
+        p = npoly.polyfromroots([0.0, 0.0, -1e-3, 0.5, 2.0])
+        assert abs(maxroot(self._reflect(p), 1e-12).value - 1e-3) <= 1e-12
 
 
 class TestExtremeRoots:
@@ -231,6 +209,16 @@ class TestExtremeRoots:
             ref = np.roots(p[::-1])
             ref = ref[np.abs(ref.imag) <= 1e-8 * (1 + np.abs(ref.real))].real.max()
             assert abs(got - ref) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("finder", [maxroot, minroot])
+    def test_bad_eps_rejected(self, finder, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            finder(coeffs(3, -4, 1), eps)
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            maxroot(coeffs(0, 0, 0), 1e-6)
 
     def test_cauchy_bound_contains_roots(self):
         p = npoly.polyfromroots([0.5, 2.0, 9.0])
