@@ -10,6 +10,7 @@ byte-stable across runs and thread counts: wall time is only included when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -299,6 +300,7 @@ def _add_io_arguments(sub, need_k=True, instance_only=False):
                           "selection ignores it")
 
 
+@functools.cache  # parse_args leaves the parser as it is; building it dominates small calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cssp",

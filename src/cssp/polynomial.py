@@ -223,8 +223,10 @@ def _variations_at(mat: np.ndarray, x: float) -> int:
 
 
 def cauchy_bound(c) -> float:
-    """1 + max|a_i / a_lead|: every root lies in [-bound, bound]."""
-    p = _strip_leading(as_poly(c))
+    """1 + max|a_i / a_lead|: every root lies in [-bound, bound].  Only
+    exactly-zero leading coefficients are dropped: a small one still
+    carries a large root."""
+    p = _strip_leading(as_poly(c), rel_tol=0.0)
     if np.max(np.abs(p)) == 0.0:
         raise ZeroPolynomial("the zero polynomial has no root bound")
     if p.size == 1:
@@ -239,7 +241,7 @@ def _extreme_root(c, eps: float, largest: bool) -> RootApprox:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     q, zero_root, s = _prepare(c)
     mat = _fourier_matrix(q)
-    lo, hi = 0.0, cauchy_bound(q)
+    lo, hi = 0.0, cauchy_bound(_strip_leading(q))
     v_lo, v_hi = _variations_at(mat, lo), _variations_at(mat, hi)
     if v_lo - v_hi < 1:
         if largest and zero_root:

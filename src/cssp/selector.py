@@ -48,11 +48,12 @@ _CERTIFICATE_RETRIES = 3
 @dataclass
 class SelectionState:
     """Mutable loop state on the rescaled input A / sqrt(scale): the residual
-    factor e = Q R (min(n, d) x d, R^T R = A^T A / scale, Q the complement
-    projector of the chosen columns), whose column i is candidate i's
-    direction and e^T e = A^T Q_S A / scale; the input's positive Gram
-    eigenvalues eigs; and, on e's scale, the rank cutoff tol for
-    directions and the spectrum noise level."""
+    factor e, (min(n, d) - |S|) x d with e^T e = A^T Q_S A / scale (Q_S the
+    complement projector of the chosen columns S), whose column i is
+    candidate i's direction; it starts as the triangular factor R of the
+    input (R^T R = A^T A / scale) and each pick drops one row; the input's
+    positive Gram eigenvalues eigs; and, on e's scale, the rank cutoff tol
+    for directions and the spectrum noise level."""
 
     chosen: list[int]
     e: np.ndarray
@@ -132,12 +133,16 @@ def _taylor(x: np.ndarray, b: np.ndarray, orders: int) -> tuple[np.ndarray, np.n
     s = np.abs(a) + bh
     a /= s
     bh /= s
-    c = np.zeros((x.size, orders))
-    c[:, 0] = 1.0
-    for j in range(b.shape[1]):
-        c[:, 1:] = a[:, j, None] * c[:, 1:] - bh[:, j, None] * c[:, :-1]
-        c[:, 0] *= a[:, j]
-    return c, h
+    # orders x rows, so each factor is three in-place passes over contiguous rows
+    a, bh = np.ascontiguousarray(a.T), np.ascontiguousarray(bh.T)
+    c = np.zeros((orders, x.size))
+    c[0] = 1.0
+    tmp = np.empty((orders - 1, x.size))
+    for j in range(a.shape[0]):
+        np.multiply(bh[j], c[:-1], out=tmp)
+        c *= a[j]
+        c[1:] -= tmp
+    return c.T, h
 
 
 def _root_distances(c: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +269,13 @@ def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_
 
 
 def _advance(state: SelectionState, j: int) -> None:
-    """Select column j: project e off its direction."""
-    u = state.e[:, j]
-    state.e -= np.outer(u, (u @ state.e) / (u @ u))
+    """Select column j: reflect its direction u onto the first axis with a
+    Householder reflector H and keep rows 1.. of H e.  Row 0 of H e is
+    +-(u/|u|)^T e, so dropping it projects e off u, and e loses one row."""
+    e = state.e
+    v = e[:, j].copy()
+    v[0] += np.copysign(np.sqrt(v @ v), v[0])
+    state.e = e[1:] - np.outer(v[1:], (v @ e) * (2.0 / (v @ v)))
     state.chosen.append(j)
 
 

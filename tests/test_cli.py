@@ -359,3 +359,28 @@ class TestDeterminism:
         code, _ = run_cli(capsys, "select", "--instance", "hard:d=3,delta=1",
                           "-k", "1", "--threads", "auto", "--format", "json")
         assert code == 0
+
+
+class TestRepeatedCalls:
+    # main builds its parser once per process; no call may leak into the next
+    PLAIN = ("select", "--instance", "hard:d=5,delta=1", "-k", "2", "--format", "json")
+
+    def test_flags_do_not_carry_over(self, capsys):
+        code, _ = run_cli(capsys, *self.PLAIN, "--sqrt", "--timing")
+        assert code == 0
+        code, out = run_cli(capsys, *self.PLAIN)
+        assert code == 0
+        report = json.loads(out)
+        assert "residual" not in report
+        assert report["timing_ms"] is None
+        first = subprocess.run([sys.executable, "-m", "cssp.cli", *self.PLAIN],
+                               capture_output=True, check=True)
+        assert out.encode() == first.stdout
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, _ = run_cli(capsys, "select", "--instance", "hard:d=5,delta=1", "-k", "2",
+                          "--format", "yaml")
+        assert code == 1
+        code, out = run_cli(capsys, *self.PLAIN)
+        assert code == 0
+        assert json.loads(out)["subset"] == [1, 2]

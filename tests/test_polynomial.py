@@ -224,6 +224,10 @@ class TestExtremeRoots:
         p = npoly.polyfromroots([0.5, 2.0, 9.0])
         assert cauchy_bound(p) >= 9.0
 
+    def test_cauchy_bound_keeps_small_leading_coefficient(self):
+        # the leading coefficient is 1e-13 of the largest, and 1e13 is a root
+        assert cauchy_bound(npoly.polyfromroots([1.0, 1e13])) >= 1e13
+
 
 def _scalar_variations(mat, x):
     # one polynomial, one scalar point: the Horner loop _variations_at vectorizes

@@ -270,12 +270,93 @@ class TestStateConsistency:
         for seed, (n, d) in enumerate(((7, 7), (7, 7), (12, 7))):
             a = random_gaussian(n, d, seed)
             state = initial_state(a)
+            r0 = state.e.shape[0]
             norm_sq = spectrum_of(a).eigs[0]
             for j in (4, 1, 6, 2):
                 _advance(state, j)
+                # each pick deflates the factor by one row
+                assert state.e.shape == (r0 - len(state.chosen), d)
                 rebuilt = a.T @ complement_projector(a, state.chosen) @ a
                 drift = np.linalg.norm(state.scale * (state.e.T @ state.e) - rebuilt)
                 assert drift <= 1e-7 * (1.0 + norm_sq)
+
+    def test_full_rank_selection_empties_the_factor(self, monkeypatch):
+        shapes = []
+        advance = selector_mod._advance
+
+        def recorded(state, j):
+            advance(state, j)
+            shapes.append(state.e.shape)
+
+        monkeypatch.setattr(selector_mod, "_advance", recorded)
+        result = select(random_gaussian(6, 6, 3), 6)
+        assert sorted(result.subset) == list(range(6))
+        assert shapes == [(6 - l, 6) for l in range(1, 7)]
+
+    def test_candidate_score_on_deflated_state_matches_select(self):
+        from cssp.selector import _advance
+
+        a, k = power_law(16, 16, 16, 2.0, 1.0, 5), 10
+        result = select(a, k)
+        state = initial_state(a)
+        for j in result.subset[:2]:
+            _advance(state, j)
+        got = candidate_score(state, result.subset[2], k).value
+        assert got == pytest.approx(result.iteration_roots[2].value, rel=1e-12, abs=0.0)
+
+
+class TestRegressionPins:
+    # subsets and residuals of select before the residual factor was
+    # deflated per pick; speed-ups must not move them
+    def test_anchor(self):
+        result = select(power_law(64, 64, 64, 2.0, 1.0, 7), 52)
+        assert result.subset == [
+            2, 37, 38, 28, 24, 58, 33, 34, 42, 10, 7, 63, 21, 35, 50, 4, 1, 53, 30, 59,
+            36, 22, 8, 18, 48, 57, 27, 15, 41, 16, 26, 25, 61, 55, 47, 51, 32, 3, 6, 17,
+            43, 39, 49, 20, 9, 31, 5, 0, 46, 40, 54, 62,
+        ]
+        assert result.residual_sq == pytest.approx(0.0009631103194978419, rel=1e-12, abs=0.0)
+
+    def test_wide(self):
+        result = select(random_gaussian(40, 80, 7), 20)
+        assert result.subset == [
+            75, 4, 46, 20, 57, 38, 78, 6, 13, 79, 25, 27, 42, 29, 26, 28, 14, 39, 60, 56,
+        ]
+        assert result.residual_sq == pytest.approx(96.17644611436523, rel=1e-12, abs=0.0)
+
+
+def _row_major_taylor(x, b, orders):
+    """The scorer's Taylor DP as one loop over the rows of (rows, orders)
+    coefficients; _taylor must reproduce it bit for bit."""
+    a = 1.0 - b * x[:, None]
+    live = b > 0.0
+    dist = np.divide(np.maximum(np.abs(a), MACHINE_EPS), b, out=np.ones_like(b), where=live)
+    h = np.exp(np.log(dist).sum(axis=1) / np.count_nonzero(live, axis=1))
+    bh = b * h[:, None]
+    s = np.abs(a) + bh
+    a /= s
+    bh /= s
+    c = np.zeros((x.size, orders))
+    c[:, 0] = 1.0
+    for j in range(b.shape[1]):
+        c[:, 1:] = a[:, j, None] * c[:, 1:] - bh[:, j, None] * c[:, :-1]
+        c[:, 0] *= a[:, j]
+    return c, h
+
+
+class TestTaylor:
+    @pytest.mark.parametrize("orders", [1, 3, 17])
+    def test_matches_row_major_loop(self, orders):
+        rng = np.random.Generator(np.random.Philox(3))
+        b = rng.uniform(0.0, 1.0, size=(9, 12))
+        b[rng.uniform(size=b.shape) < 0.25] = 0.0
+        b[:, 0] = 1.0  # every row keeps a live entry
+        x = rng.uniform(0.5, 1.5, size=9)
+        c, h = selector_mod._taylor(x, b, orders)
+        ref_c, ref_h = _row_major_taylor(x, b.copy(), orders)
+        assert c.shape == (9, orders)
+        assert np.array_equal(c, ref_c)
+        assert np.array_equal(h, ref_h)
 
 
 class TestTieBreak:
