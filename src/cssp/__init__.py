@@ -73,6 +73,7 @@ from .polynomial import (
 )
 from .selector import (
     DEFAULT_EPS,
+    IterationStats,
     SelectionResult,
     SelectionState,
     candidate_score,

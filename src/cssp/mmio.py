@@ -46,6 +46,12 @@ def _data_lines(lines):
         yield lineno, stripped
 
 
+def _array_entries(data) -> list[float]:
+    """The entries of the (lineno, line) pairs of data, parsed token by
+    token, so that a bad token raises ParseError with its line and column."""
+    return [_parse_real(tok, lineno, line) for lineno, line in data for tok in line.split()]
+
+
 def _load_matrix_market(lines, first_line: str) -> np.ndarray:
     parts = first_line.strip().split()
     if len(parts) != 5 or parts[1].lower() != "matrix":
@@ -76,22 +82,25 @@ def _load_matrix_market(lines, first_line: str) -> np.ndarray:
             _fail("dimensions must be positive", lineno, size_line)
         if symmetry == "symmetric" and n_rows != n_cols:
             _fail("symmetric storage needs a square matrix", lineno, size_line)
-        out = np.zeros((n_rows, n_cols))
+        rest = list(lines)  # the stream has consumed lines through the size line
+        text = "".join(raw for _, raw in rest)
+        if "%" in text:  # comment lines among the entries
+            text = " ".join(line for _, line in _data_lines(rest))
+        tokens = text.split()
+        try:
+            values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+        except ValueError:  # token by token, to name the bad token's position
+            values = np.array(_array_entries(_data_lines(rest)))
+        count = n_rows * n_cols if symmetry == "general" else n_rows * (n_rows + 1) // 2
+        if values.size != count:
+            raise DimensionMismatch(f"expected {count} entries, found {values.size}")
         if symmetry == "general":
-            coords = [(i, j) for j in range(n_cols) for i in range(n_rows)]
-        else:
-            coords = [(i, j) for j in range(n_cols) for i in range(j, n_rows)]
-        values = []
-        for lineno, line in stream:
-            for tok in line.split():
-                values.append((_parse_real(tok, lineno, line), lineno))
-        if len(values) != len(coords):
-            raise DimensionMismatch(
-                f"expected {len(coords)} entries, found {len(values)}")
-        for (i, j), (val, _) in zip(coords, values):
-            out[i, j] = val
-            if symmetry == "symmetric":
-                out[j, i] = val
+            return np.ascontiguousarray(values.reshape(n_cols, n_rows).T)
+        out = np.zeros((n_rows, n_cols))
+        # column-major lower triangle: column j holds rows j..n-1
+        j, i = np.triu_indices(n_rows)
+        out[i, j] = values
+        out[j, i] = values
         return out
 
     if len(toks) != 3:

@@ -11,6 +11,20 @@ Scores are found in product form, never from monomial coefficients: by the
 reversal identity a candidate with spectrum mu scores 1/y*, y* the smallest
 root of the real-rooted g = D^k prod_j (1 - mu_j y), which Laguerre's method
 reaches from the left and a Budan-Fourier sign check certifies.
+
+Most candidates are ruled out before any eigen work of their own.  A
+candidate's downdated spectrum interlaces the spectrum of B = E E^T, and
+the sign of the secular function at grid points inside each interval,
+beyond its rounding bound, certifies a lower end of each eigenvalue; the
+ends are widened by twice the noise level, for eigh's backward error and
+the exact path's.  The score increases with every eigenvalue, so a few
+Laguerre steps and a Samuelson bracket on the lower ends bound it from
+below, and only candidates whose bound is within the tie margin plus twice
+the score tolerance of the best exact score are scored exactly.  The
+winner, its root and the tie rule are those of scoring every candidate.
+The bracket pass is skipped when all candidate matrices fit in one
+eigvalsh block, and after a fully scored iteration in which every
+candidate tied within that margin, where nothing can be pruned.
 """
 
 from __future__ import annotations
@@ -44,6 +58,11 @@ _LAGUERRE_STEPS = 100
 # Times the certificate point backs off fourfold before a score is refused.
 _CERTIFICATE_RETRIES = 3
 
+# Points of the sign-test grid inside each interlacing interval.  More
+# points tighten the lower ends of the candidate spectra, at the cost of a
+# wider product w @ K.
+_GRID = 15
+
 
 @dataclass
 class SelectionState:
@@ -61,10 +80,27 @@ class SelectionState:
     scale: float
     tol: float
     noise: float
+    # every candidate of the last fully scored iteration tied within the
+    # pruning margin, so the next iteration skips the bracket pass
+    tied: bool = False
 
     @property
     def iteration(self) -> int:
         return len(self.chosen)
+
+
+@dataclass(frozen=True)
+class IterationStats:
+    """Candidate counts of one greedy iteration: the admissible columns and
+    how many of them were scored exactly; the rest were pruned by their
+    certified lower bounds."""
+
+    admissible: int
+    scored: int
+
+    @property
+    def pruned(self) -> int:
+        return self.admissible - self.scored
 
 
 @dataclass(frozen=True)
@@ -75,6 +111,7 @@ class SelectionResult:
     eps: float
     elapsed: float
     eigs: np.ndarray  # the input's positive Gram eigenvalues, descending
+    stats: list[IterationStats]  # one entry per iteration
 
 
 def initial_state(a) -> SelectionState:
@@ -169,6 +206,23 @@ def _root_distances(c: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarra
     return step, upper
 
 
+def _live_rows(mu: np.ndarray, power: int, noise: float):
+    """(live, top, deg, b) of the ascending spectra in the rows of mu,
+    entries at most noise taken as zero: the rows whose g = D^power
+    prod_j (1 - b_j x) has degree deg > 0, their top entries, and their
+    entries over top, b."""
+    top = mu[:, -1]
+    b = np.where(mu > noise, mu, 0.0)
+    deg = np.count_nonzero(b, axis=1) - power
+    live = np.flatnonzero(deg > 0)
+    top, deg, b = top[live], deg[live], b[live]
+    if live.size:
+        b /= top[:, None]
+        # noise entries lead each row; drop the columns zero in every row
+        b = b[:, np.min(np.count_nonzero(b == 0.0, axis=1)) :]
+    return live, top, deg, b
+
+
 def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.ndarray:
     """Scores of the ascending spectra in the rows of mu, entries at most
     noise taken as zero: the largest root of the power-th polar image of
@@ -183,17 +237,10 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.nda
     with deg = r - power <= 0 has a constant g and scores 0.  Raises
     CertificateViolation when a score cannot be certified.
     """
-    top = mu[:, -1]
-    b = np.where(mu > noise, mu, 0.0)
-    deg = np.count_nonzero(b, axis=1) - power
     scores = np.zeros(mu.shape[0])
-    live = np.flatnonzero(deg > 0)
+    live, top, deg, b = _live_rows(mu, power, noise)
     if not live.size:
         return scores
-    top, deg = top[live], deg[live]
-    b = b[live] / top[:, None]
-    # noise entries lead each row; drop the columns zero in every row
-    b = b[:, np.min(np.count_nonzero(b == 0.0, axis=1)) :]
 
     x = np.ones(live.size)
     todo = np.arange(live.size)
@@ -234,11 +281,98 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.nda
     )
 
 
-def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float) -> np.ndarray:
+def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float) -> np.ndarray:
+    """Lower bounds of the scores of the ascending spectra in the rows of mu,
+    as :func:`_root_scores` defines them, with no certificate pass.
+
+    x = 1 lies below every root of g, and Laguerre's method from there stays
+    below the smallest root x*, so at every point the upper bound of
+    :func:`_root_distances` caps x*; the least cap gives the lower bound
+    top / cap.  A row stops once its step or the gap to its cap is within
+    the scorer's stopping size, about eps / 4 on the score.  No fixed step
+    count serves: the steps needed grow with the input (four on
+    power_law(128, ...) before its first iterations prune, six on
+    power_law(256, ...)).
+    """
+    floors = np.zeros(mu.shape[0])
+    live, top, deg, b = _live_rows(mu, power, noise)
+    if not live.size:
+        return floors
+    x = np.ones(live.size)
+    cap = np.full(live.size, np.inf)
+    todo = np.arange(live.size)
+    for _ in range(_LAGUERRE_STEPS):
+        c, h = _taylor(x[todo], b[todo], power + 3)
+        step, upper = _root_distances(c, power, deg[todo])
+        x_t = x[todo]
+        cap[todo] = np.fmin(cap[todo], x_t + h * upper)
+        small = np.maximum(eps * x_t * x_t / (4.0 * top[todo]), 8.0 * MACHINE_EPS * x_t)
+        x_t += h * step
+        x[todo] = x_t
+        todo = todo[(np.abs(h * step) > small) & (cap[todo] - x_t > small)]
+        if not todo.size:
+            break
+    floors[live] = top / cap
+    return floors
+
+
+def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float) -> np.ndarray:
+    """Certified lower ends of the spectra of the downdated matrices of
+    :func:`_downdated`, ascending as eigvalsh gives them, each lowered by
+    twice noise and clipped at 0, without forming those matrices.
+
+    The downdated spectrum is 0 (the direction u) and mu_1 .. mu_r-1, which
+    interlace the spectrum lam of b: mu_i in [lam_i, lam_i+1].  Inside that
+    interval mu_i >= x exactly when f(x) = sum_j w_j / (lam_j - x) < 0, with
+    w = (V^T u)^2 / |u|^2 and V the eigenvectors of b (the constrained
+    eigenproblem, Golub, SIAM Rev. 1973).  f increases, so its negative
+    signs on a grid of _GRID points in the interval form a prefix, and the
+    count of certified negatives indexes a point no higher than mu_i.  f on
+    the whole grid is one product w @ K, K[j, m] = near_m / (lam_j - x_m),
+    near_m the distance from x_m to the nearer end, so |K| <= 1 and a value
+    within (r + 10) ulps of 0 certifies no sign.  The widening covers the
+    backward errors of eigh here and of the downdate and eigvalsh of the
+    exact path.  Intervals narrower than noise are not refined.
+    """
+    lam, vecs = np.linalg.eigh(b)
+    r, n = lam.size, u.shape[0]
+    z = u @ vecs
+    w = z * z / np.einsum("ij,ij->i", u, u)[:, None]
+    lo, hi = lam[:-1], lam[1:]
+    gap = hi - lo
+    # rounding must leave every grid point strictly inside its interval
+    live = gap > np.maximum(noise, 4.0 * (_GRID + 1) * MACHINE_EPS * np.maximum(-lo, hi))
+    # grid[i] is lam_i, then the points inside interval i
+    grid = lo[:, None] + gap[:, None] * (np.arange(_GRID + 1) / (_GRID + 1))
+    slack = (r + 10) * MACHINE_EPS
+    lower = np.zeros((n, r))
+    # intervals and candidates per product, so K and its result stay in the block
+    span = max(1, _BLOCK_BYTES // (8 * _GRID * (r + n)))
+    rows = max(1, _BLOCK_BYTES // (8 * _GRID * span) - r)
+    for first in range(0, r - 1, span):
+        ints = np.arange(first, min(first + span, r - 1))
+        pts = grid[ints, 1:]
+        near = np.minimum(pts - lo[ints, None], hi[ints, None] - pts).ravel()
+        diff = lam[:, None] - pts.ravel()
+        kern = np.divide(near, diff, out=np.zeros_like(diff),
+                         where=np.repeat(live[ints], _GRID)[None, :])
+        for row in range(0, n, rows):
+            negative = w[row : row + rows] @ kern < -slack
+            count = negative.reshape(-1, ints.size, _GRID).sum(axis=2)
+            lower[row : row + rows, 1 + ints] = grid[ints, count]
+    lower[:, 1:] -= 2.0 * noise
+    np.maximum(lower, 0.0, out=lower)
+    return lower
+
+
+def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
+            b: np.ndarray | None = None) -> np.ndarray:
     """Certified scores, on state's scale, of the candidates whose directions
     are the rows of u, in row order: the eps-approximate largest root of the
-    operator power of each candidate's residual characteristic polynomial."""
-    b = state.e @ state.e.T
+    operator power of each candidate's residual characteristic polynomial.
+    b is state's E E^T, formed here when not given."""
+    if b is None:
+        b = state.e @ state.e.T
     step = max(1, _BLOCK_BYTES // (8 * b.size))
     eigs = np.concatenate([np.linalg.eigvalsh(_downdated(b, u[first : first + step]))
                            for first in range(0, u.shape[0], step)])
@@ -279,18 +413,40 @@ def _advance(state: SelectionState, j: int) -> None:
     state.chosen.append(j)
 
 
-def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[int, float]:
-    """One iteration's winner and its score: the smallest index among the
-    admissible candidates scoring within tie of the minimum."""
+def _margin(score: float, eps: float, tie: float) -> float:
+    """How far above score a certified lower bound may lie and its candidate
+    still win: the tie margin plus twice the score tolerance."""
+    return tie + 2.0 * max(eps, 64.0 * MACHINE_EPS * score)
+
+
+def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[int, float, IterationStats]:
+    """One iteration's winner, its score and candidate counts: the smallest
+    index among the admissible candidates scoring within tie of the minimum.
+
+    Unless the bracket pass is skipped (see the module docstring), the
+    candidate with the least certified lower bound is scored exactly first,
+    and then, in one call, every candidate whose bound is within
+    :func:`_margin` of that score; no other candidate can tie the minimum.
+    """
     cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
     u = state.e[:, cands].T
     admissible = np.sqrt(np.einsum("ij,ij->i", u, u)) > state.tol
     if not admissible.any():
-        return -1, np.inf
+        return -1, np.inf, IterationStats(0, 0)
     cands, u = cands[admissible], u[admissible]
-    scores = _scores(state, u, power, eps)
-    pos = int(np.argmax(scores <= scores.min() + tie))
-    return int(cands[pos]), float(scores[pos])
+    count = cands.size
+    b = state.e @ state.e.T
+    if not state.tied and count > _BLOCK_BYTES // (8 * b.size):
+        floors = _score_floors(_lower_spectra(b, u, state.noise), power, eps, state.noise)
+        first = int(np.argmin(floors))
+        best = float(_scores(state, u[first : first + 1], power, eps, b)[0])
+        keep = floors <= best + _margin(best, eps, tie)
+        cands, u = cands[keep], u[keep]
+    scores = _scores(state, u, power, eps, b)
+    low = float(scores.min())
+    state.tied = bool(cands.size == count and scores.max() <= low + _margin(low, eps, tie))
+    pos = int(np.argmax(scores <= low + tie))
+    return int(cands[pos]), float(scores[pos]), IterationStats(count, cands.size)
 
 
 def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
@@ -325,8 +481,9 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
     prev_score = float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, state.noise)[0])
 
     roots_scaled: list[float] = []
+    stats: list[IterationStats] = []
     for l in range(1, k + 1):
-        best_idx, best_val = _pick(state, k - l, eps_s, tie)
+        best_idx, best_val, counts = _pick(state, k - l, eps_s, tie)
         if best_idx < 0:
             raise AllCandidatesDegenerate(
                 f"no admissible column at iteration {l}; cannot happen for k <= rank"
@@ -337,6 +494,7 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
             )
         prev_score = best_val
         roots_scaled.append(best_val)
+        stats.append(counts)
         _advance(state, best_idx)
 
     subset = list(state.chosen)
@@ -353,4 +511,5 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
         eps=eps,
         elapsed=time.perf_counter() - start,
         eigs=eigs,
+        stats=stats,
     )

@@ -71,6 +71,28 @@ class TestMatrixMarket:
             load_matrix(path)
         assert err.value.line == 4
 
+    def test_array_comments_and_blank_lines_among_entries(self, tmp_path):
+        path = tmp_path / "cm.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n2 2\n1 2\n% note\n\n  3\n4\n"
+        )
+        assert np.array_equal(load_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_bad_entry_among_several_has_column(self, tmp_path):
+        path = tmp_path / "bad3.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n% c\n2 2\n1 2\n3  4x\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert (err.value.line, err.value.column) == (5, 4)
+
+    def test_symmetric_entry_count_mismatch(self, tmp_path):
+        path = tmp_path / "short_sym.mtx"
+        path.write_text("%%MatrixMarket matrix array real symmetric\n2 2\n1\n2\n")
+        with pytest.raises(DimensionMismatch, match="expected 3 entries, found 2"):
+            load_matrix(path)
+
     def test_entry_count_mismatch(self, tmp_path):
         path = tmp_path / "short.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n")

@@ -324,6 +324,15 @@ class TestRegressionPins:
         ]
         assert result.residual_sq == pytest.approx(96.17644611436523, rel=1e-12, abs=0.0)
 
+    def test_gauss_100x1000(self):
+        # taken before candidates were pruned by certified lower bounds
+        result = select(random_gaussian(100, 1000, 7), 30)
+        assert result.subset == [
+            742, 186, 870, 564, 865, 558, 994, 867, 367, 507, 998, 982, 172, 794, 611,
+            343, 517, 442, 715, 656, 518, 741, 567, 780, 202, 413, 285, 405, 961, 764,
+        ]
+        assert result.residual_sq == pytest.approx(1355.7524514160134, rel=1e-12, abs=0.0)
+
 
 def _row_major_taylor(x, b, orders):
     """The scorer's Taylor DP as one loop over the rows of (rows, orders)
@@ -535,3 +544,127 @@ class TestProductFormScores:
         for value, row in zip(got, mu):
             ref = _mp_score(mpmath, row, power, noise)
             assert abs(value - ref) <= max(eps, 64 * MACHINE_EPS * ref)
+
+
+def _bracket_input(kind, n, d, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kind == "deficient":
+        return _rank_deficient(n, d, int(rng.integers(1, min(n, d) + 1)), seed)
+    if kind == "hard":
+        return hard_instance(d, float(rng.uniform(0.1, 3.0)))[:, rng.permutation(d)]
+    if kind == "duplicated":
+        a = random_gaussian(n, d, seed)
+        return a[:, rng.integers(0, d, size=d + d // 2)]
+    return random_gaussian(n, d, seed) * {"huge": 1e100, "tiny": 1e-100}[kind]
+
+
+def _walk(a, picks, seed):
+    """select's state after up to picks random admissible columns."""
+    state = initial_state(a)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for j in rng.permutation(a.shape[1])[:picks]:
+        if state.iteration < state.eigs.size - 1 and np.linalg.norm(state.e[:, j]) > state.tol:
+            selector_mod._advance(state, int(j))
+    return state
+
+
+def _admissible(state):
+    u = np.delete(state.e, state.chosen, axis=1).T
+    return u[np.linalg.norm(u, axis=1) > state.tol]
+
+
+class TestBracketPass:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["deficient", "hard", "huge", "tiny", "duplicated"]),
+        n=st.integers(2, 24),
+        d=st.integers(2, 24),
+        seed=st.integers(0, 2**16),
+        picked=st.integers(0, 8),
+        block=st.sampled_from([None, 2048]),
+    )
+    def test_lower_ends_below_spectra(self, kind, n, d, seed, picked, block):
+        if block is not None:  # many products per call
+            selector_mod._BLOCK_BYTES, saved = block, selector_mod._BLOCK_BYTES
+        try:
+            state = _walk(_bracket_input(kind, n, d, seed), picked, seed)
+            u = _admissible(state)
+            b = state.e @ state.e.T
+            lower = selector_mod._lower_spectra(b, u, state.noise)
+        finally:
+            if block is not None:
+                selector_mod._BLOCK_BYTES = saved
+        mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
+        assert lower.shape == mu.shape
+        assert np.all(lower <= mu)
+        assert np.all(np.diff(lower, axis=1) >= 0.0)
+        left = state.eigs.size - state.iteration
+        for power in {0, (left - 1) // 2, left - 1}:
+            floors = selector_mod._score_floors(lower, power, 1e-9, state.noise)
+            exact = selector_mod._root_scores(mu, power, 1e-9, state.noise)
+            assert np.all(floors <= exact + np.maximum(1e-9, 64 * MACHINE_EPS * exact))
+
+    def test_lower_ends_refine_interlacing(self):
+        # the sign tests lift most lower ends above the interlacing bound
+        state = initial_state(random_gaussian(40, 80, 7))
+        b = state.e @ state.e.T
+        lower = selector_mod._lower_spectra(b, state.e.T, state.noise)
+        lam = np.linalg.eigvalsh(b)
+        assert np.mean(lower[:, 1:] > lam[:-1] + 2.0 * state.noise) > 0.5
+
+    @pytest.mark.parametrize(
+        "a, k",
+        [
+            (random_gaussian(12, 30, 2), 8),
+            (power_law(20, 20, 20, 2.0, 1.0, 3), 14),
+            (_rank_deficient(24, 30, 10, 5), 9),
+            (random_gaussian(16, 20, 4)[:, [0, 1, 2, 3, 0, 4, 5, 1, *range(6, 20)]], 10),
+        ],
+        ids=["wide", "power", "rank-deficient", "duplicated"],
+    )
+    def test_pick_matches_full_scoring(self, monkeypatch, a, k):
+        # a small block makes every iteration run the bracket pass
+        monkeypatch.setattr(selector_mod, "_BLOCK_BYTES", 2048)
+        state = initial_state(a)
+        eps = 1e-9 / state.scale
+        tie = selector_mod._TIE_ULPS * MACHINE_EPS * max(1.0, state.eigs[0] / state.scale)
+        pruned = 0
+        for l in range(1, k + 1):
+            cands = np.delete(np.arange(a.shape[1]), state.chosen)
+            u = state.e[:, cands].T
+            ok = np.linalg.norm(u, axis=1) > state.tol
+            scores = selector_mod._scores(state, u[ok], k - l, eps)
+            want = int(cands[ok][np.argmax(scores <= scores.min() + tie)])
+            state.tied = False
+            got, score, counts = selector_mod._pick(state, k - l, eps, tie)
+            assert got == want
+            assert score == pytest.approx(scores.min(), rel=1e-12, abs=0.0)
+            assert counts.admissible == np.count_nonzero(ok)
+            pruned += counts.pruned
+            selector_mod._advance(state, got)
+        assert pruned > 0
+
+
+class TestSelectionStats:
+    def test_wide_prunes_most_candidates(self):
+        result = select(random_gaussian(40, 80, 7), 20)
+        assert [s.admissible for s in result.stats] == list(range(80, 60, -1))
+        assert 4 * sum(s.scored for s in result.stats) <= sum(s.admissible for s in result.stats)
+
+    def test_hard_instance_scores_every_candidate(self):
+        perm = np.random.Generator(np.random.Philox(7)).permutation(48)
+        result = select(hard_instance(48, 1.0)[:, perm], 24)
+        assert len(result.stats) == 24
+        assert all(s.scored == s.admissible and s.pruned == 0 for s in result.stats)
+
+    def test_corpus_matrix_skips_the_bracket_pass(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("bracket pass ran")
+
+        monkeypatch.setattr(selector_mod, "_lower_spectra", refused)
+        a = random_gaussian(12, 12, 3)
+        for k in range(1, 13):
+            result = select(a, k)
+            assert [(s.admissible, s.scored) for s in result.stats] == [
+                (12 - l, 12 - l) for l in range(k)
+            ]
