@@ -40,7 +40,6 @@ class BoundReport:
     gamma: float
     bound: float
     applicable: bool
-    lower_bound_hard_instance: float | None = None
 
 
 def spectrum_info(eigs) -> SpectrumInfo:

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .bounds import hard_instance_bounds, residual_bound, spectrum_info, spectrum_of
 from .errors import (
@@ -23,15 +22,7 @@ from .errors import (
     CertificateViolation,
     CsspError,
     DegenerateDirection,
-    DimensionMismatch,
-    EmptySpectrum,
-    NonPositiveEigenvalue,
     NoRootInRange,
-    NotFullColumnRank,
-    OutOfRegime,
-    ParseError,
-    RankExceeded,
-    TooManySubsets,
     ZeroPolynomial,
 )
 from .instances import hard_instance, power_law, random_gaussian
@@ -39,18 +30,7 @@ from .mmio import load_matrix, save_matrix_market
 from .oracle import IDENTITY_TOLERANCES, run_identity_suite
 from .selector import DEFAULT_EPS, select
 
-_USAGE_ERRORS = (
-    ParseError,
-    DimensionMismatch,
-    RankExceeded,
-    OutOfRegime,
-    TooManySubsets,
-    NotFullColumnRank,
-    EmptySpectrum,
-    NonPositiveEigenvalue,
-    ValueError,
-    OSError,
-)
+# exit code 3; every other package error, ValueError and OSError exits 1
 _NUMERICAL_ERRORS = (
     ZeroPolynomial,
     NoRootInRange,
@@ -197,11 +177,6 @@ def _cmd_bound(args) -> int:
     matrix, source = _get_matrix(args)
     info = spectrum_of(matrix)
     bnd = residual_bound(info, args.k)
-    hard_params = _hard_params(args)
-    if hard_params is not None and 1 <= args.k < hard_params[0]:
-        d, delta = hard_params
-        lower = hard_instance_bounds(d, delta, args.k)[1]
-        bnd = replace(bnd, lower_bound_hard_instance=lower)
     report = _base_report("bound", source, args)
     report.update(
         bound=bnd.bound,
@@ -211,18 +186,19 @@ def _cmd_bound(args) -> int:
         beta=bnd.beta,
         gamma=bnd.gamma,
     )
-    if bnd.lower_bound_hard_instance is not None:
-        report["lower_bound"] = bnd.lower_bound_hard_instance
+    lower = _hard_lower_bound(args, args.k)
+    if lower is not None:
+        report["lower_bound"] = lower
     _emit(report, args.format)
     return 0
 
 
-def _hard_params(args):
-    """(d, delta) of a hard --instance spec, already built by parse_instance_spec."""
+def _hard_lower_bound(args, k):
+    """The hard instance's lower bound at k for a hard --instance spec
+    (already built by parse_instance_spec) with 1 <= k < d, else None."""
     kind, params = _spec_params(getattr(args, "instance", None) or "")
-    if kind != "hard":
-        return None
-    return int(params["d"]), float(params.get("delta", 1.0))
+    d = int(params["d"]) if kind == "hard" else 0
+    return hard_instance_bounds(d, float(params.get("delta", 1.0)), k)[1] if 1 <= k < d else None
 
 
 def _cmd_verify(args) -> int:
@@ -262,15 +238,15 @@ def _cmd_bench(args) -> int:
     k_hi = args.kmax if args.kmax is not None else max(info.t - 1, 1)
     if k_lo > k_hi:
         raise ValueError(f"empty k range: kmin={k_lo} > kmax={k_hi}")
-    hard_params = _hard_params(args)
     rows = []
     for k in range(k_lo, k_hi + 1):
         result = select(matrix, k, eps=args.eps)
         bnd = residual_bound(info, k)
         row = {"k": k, "residual_sq": result.residual_sq,
                "bound": bnd.bound, "applicable": bnd.applicable}
-        if hard_params is not None and 1 <= k < hard_params[0]:
-            row["lower_bound"] = hard_instance_bounds(hard_params[0], hard_params[1], k)[1]
+        lower = _hard_lower_bound(args, k)
+        if lower is not None:
+            row["lower_bound"] = lower
         rows.append(row)
     report = _base_report("bench", source, args)
     report["k"] = None
@@ -279,7 +255,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_io_arguments(sub, need_k=True, instance_only=False):
+def _add_io_arguments(sub, need_k=True, instance_only=False, roots=True):
     if instance_only:
         sub.add_argument("--instance", required=True,
                          help="instance spec, e.g. hard:d=4,delta=1")
@@ -292,12 +268,13 @@ def _add_io_arguments(sub, need_k=True, instance_only=False):
                          help="transpose the file after reading")
     if need_k:
         sub.add_argument("-k", type=int, required=True, help="number of columns to pick")
-    sub.add_argument("--eps", type=_parse_eps, default=DEFAULT_EPS,
-                     help="root approximation tolerance (default 1e-9)")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.add_argument("--threads", type=_parse_threads, default=1,
-                     help="worker threads for verify's exhaustive search, or 'auto'; "
-                          "selection ignores it")
+    if roots:  # gen and bound compute no root
+        sub.add_argument("--eps", type=_parse_eps, default=DEFAULT_EPS,
+                         help="root approximation tolerance (default 1e-9)")
+        sub.add_argument("--threads", type=_parse_threads, default=1,
+                         help="worker threads for verify's exhaustive search, or 'auto'; "
+                              "selection ignores it")
 
 
 @functools.cache  # parse_args leaves the parser as it is; building it dominates small calls
@@ -317,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.set_defaults(func=_cmd_select)
 
     p_bound = commands.add_parser("bound", help="closed-form residual bound")
-    _add_io_arguments(p_bound)
+    _add_io_arguments(p_bound, roots=False)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_verify = commands.add_parser("verify", help="run the oracle identity suite")
@@ -325,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = commands.add_parser("gen", help="write a generated instance to Matrix Market")
-    _add_io_arguments(p_gen, need_k=False, instance_only=True)
+    _add_io_arguments(p_gen, need_k=False, instance_only=True, roots=False)
     p_gen.add_argument("-o", "--output", required=True, help="output path")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -345,13 +322,10 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CsspError as exc:
+    except (CsspError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,31 +5,34 @@ of the polynomial obtained from the candidate's post-selection
 characteristic polynomial under the polar-type operator, then keeps the
 column with the smallest score.  Scores within a few rounding units of the
 iteration's minimum count as tied, and ties go to the smallest column
-index, so identical inputs always produce identical subsets.
+index, so identical inputs always produce identical subsets.  A score
+does not depend on the candidates scored with it.
 
 Scores are found in product form, never from monomial coefficients: by the
 reversal identity a candidate with spectrum mu scores 1/y*, y* the smallest
-root of the real-rooted g = D^k prod_j (1 - mu_j y), which Laguerre's method
-reaches from the left and a Budan-Fourier sign check certifies.
+root of the real-rooted g = D^k prod_j (1 - mu_j y).  One Laguerre loop
+from the left, with one stopping rule, gives both a point that a
+Budan-Fourier sign check certifies and a Samuelson cap on y*.
 
 Most candidates are ruled out before any eigen work of their own.  A
 candidate's downdated spectrum interlaces the spectrum of B = E E^T, and
 the sign of the secular function at grid points inside each interval,
 beyond its rounding bound, certifies a lower end of each eigenvalue; the
 ends are widened by twice the noise level, for eigh's backward error and
-the exact path's.  The score increases with every eigenvalue, so a few
-Laguerre steps and a Samuelson bracket on the lower ends bound it from
-below, and only candidates whose bound is within the tie margin plus twice
-the score tolerance of the best exact score are scored exactly.  The
-winner, its root and the tie rule are those of scoring every candidate.
-The bracket pass is skipped when all candidate matrices fit in one
-eigvalsh block, and after a fully scored iteration in which every
-candidate tied within that margin, where nothing can be pruned.
+the exact path's.  The score increases with every eigenvalue, so the cap
+on the lower ends bounds it from below.  The candidate with the least
+bound is scored exactly, then the others whose bound is within the tie
+margin plus twice the score tolerance of that score; the winner, its root
+and the tie rule are those of scoring every candidate.  The bracket pass
+is skipped when all candidate matrices fit in one eigvalsh block, and
+after a fully scored iteration in which every candidate tied within that
+margin, where nothing can be pruned.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +94,15 @@ class SelectionState:
 
 @dataclass(frozen=True)
 class IterationStats:
-    """Candidate counts of one greedy iteration: the admissible columns and
-    how many of them were scored exactly; the rest were pruned by their
-    certified lower bounds."""
+    """Counts of one greedy iteration: the admissible columns, how many of
+    them were scored exactly (the rest were pruned by certified lower
+    bounds), the Taylor expansions over a batch of rows (Laguerre steps and
+    certificate points) and the certificate's back-offs."""
 
     admissible: int
     scored: int
+    steps: int
+    retries: int
 
     @property
     def pruned(self) -> int:
@@ -140,9 +146,13 @@ def _scaled_eps(state: SelectionState, eps) -> float:
 def _downdated(b: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The matrix b = E E^T after selecting each column whose direction
     (a column of E) is a row of u, that is after projecting E off u: one
-    rank-one update per row, stacked.  Exactly symmetric when b is."""
+    rank-one update per row, stacked.  Exactly symmetric when b is.  numpy
+    rounds a product over many or strided rows unlike a one-row product, so
+    u b is formed one contiguous row at a time: a row's result does not
+    depend on the rows stacked with it."""
+    u = np.ascontiguousarray(u)
     nu2 = np.einsum("ij,ij->i", u, u)[:, None, None]
-    w = u @ b
+    w = (u[:, None, :] @ b)[:, 0]
     s = np.einsum("ij,ij->i", u, w)[:, None, None]
     out = u[:, :, None] * w[:, None, :]
     out += out.transpose(0, 2, 1)
@@ -174,11 +184,12 @@ def _taylor(x: np.ndarray, b: np.ndarray, orders: int) -> tuple[np.ndarray, np.n
     a, bh = np.ascontiguousarray(a.T), np.ascontiguousarray(bh.T)
     c = np.zeros((orders, x.size))
     c[0] = 1.0
-    tmp = np.empty((orders - 1, x.size))
-    for j in range(a.shape[0]):
-        np.multiply(bh[j], c[:-1], out=tmp)
-        c *= a[j]
-        c[1:] -= tmp
+    head, tail = c[:-1], c[1:]
+    tmp = np.empty_like(head)
+    for a_j, bh_j in zip(a, bh):
+        np.multiply(bh_j, head, out=tmp)
+        np.multiply(c, a_j, out=c)
+        np.subtract(tail, tmp, out=tail)
     return c.T, h
 
 
@@ -223,18 +234,49 @@ def _live_rows(mu: np.ndarray, power: int, noise: float):
     return live, top, deg, b
 
 
-def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.ndarray:
+def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: float,
+              tally=None) -> tuple[np.ndarray, np.ndarray]:
+    """(x, cap) with x <= x* <= cap, x* the smallest root of each row's
+    g = D^power prod_j (1 - b_j x), in the terms of :func:`_live_rows`.
+
+    Laguerre's method from x = 1 stays below x* and converges to it, so the
+    upper bound of :func:`_root_distances` at every point caps x*.  A row
+    stops once its step or the gap to its least cap is within about eps / 4
+    on the score top / x; the steps needed grow with the input, so no fixed
+    count serves.  A Counter tally, when given, counts the Taylor expansions
+    in tally["steps"]."""
+    x = np.ones(top.size)
+    cap = np.full(top.size, np.inf)
+    todo = np.arange(top.size)
+    for steps in range(1, _LAGUERRE_STEPS + 1):
+        c, h = _taylor(x[todo], b[todo], power + 3)
+        step, upper = _root_distances(c, power, deg[todo])
+        x_t = x[todo]
+        cap[todo] = np.fmin(cap[todo], x_t + h * upper)
+        small = np.maximum(eps * x_t * x_t / (4.0 * top[todo]), 8.0 * MACHINE_EPS * x_t)
+        x_t += h * step
+        x[todo] = x_t
+        todo = todo[(np.abs(h * step) > small) & (cap[todo] - x_t > small)]
+        if not todo.size:
+            break
+    if tally is not None:
+        tally["steps"] += steps
+    return x, cap
+
+
+def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=None) -> np.ndarray:
     """Scores of the ascending spectra in the rows of mu, entries at most
     noise taken as zero: the largest root of the power-th polar image of
     prod_j (x - mu_j), certified within max(eps, 64 ulps).
 
     In x = top * y, b = mu / top, the smallest root x* of g = D^power
-    prod_j (1 - b_j x) is at least 1 and the score is top / x*; Laguerre's
-    method from x = 1 stays left of x* and converges to it.  At z just left
-    of x, strictly alternating Taylor orders power .. r put every root of g
-    above z (Budan-Fourier), so the bounds of :func:`_root_distances` from
-    z bracket x*, and both ends must score within the tolerance.  A row
-    with deg = r - power <= 0 has a constant g and scores 0.  Raises
+    prod_j (1 - b_j x) is at least 1 and the score is top / x*, with x from
+    :func:`_laguerre`.  At z just left of x, strictly alternating Taylor
+    orders power .. r put every root of g above z (Budan-Fourier), so the
+    bounds of :func:`_root_distances` from z bracket x*, and both ends must
+    score within the tolerance.  A row with deg = r - power <= 0 has a
+    constant g and scores 0.  tally counts as :func:`_laguerre` does, with
+    certificate points, and its "retries" the back-offs.  Raises
     CertificateViolation when a score cannot be certified.
     """
     scores = np.zeros(mu.shape[0])
@@ -242,24 +284,13 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.nda
     if not live.size:
         return scores
 
-    x = np.ones(live.size)
-    todo = np.arange(live.size)
-    for _ in range(_LAGUERRE_STEPS):
-        c, h = _taylor(x[todo], b[todo], power + 3)
-        step = h * _root_distances(c, power, deg[todo])[0]
-        x[todo] += step
-        x_t = x[todo]
-        small = np.maximum(eps * x_t * x_t / (4.0 * top[todo]), 8.0 * MACHINE_EPS * x_t)
-        todo = todo[np.abs(step) > small]
-        if not todo.size:
-            break
-
+    x = _laguerre(b, power, deg, top, eps, tally)[0]
     value = top / x
     tol = np.maximum(eps, 64.0 * MACHINE_EPS * value)
     back = np.minimum(np.maximum(eps * x * x / top, 16.0 * MACHINE_EPS * x) / (4.0 * deg), x)
     orders = np.arange(max(deg.max() + 1, 3))
     todo = np.arange(live.size)
-    for _ in range(_CERTIFICATE_RETRIES + 1):
+    for retry in range(_CERTIFICATE_RETRIES + 1):
         z = x[todo] - back[todo]
         n = deg[todo]
         c, h = _taylor(z, b[todo], power + orders.size)
@@ -271,6 +302,8 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.nda
             np.abs(v - top[todo] / (z + h * upper)) <= t)
         todo = todo[~certified]
         if not todo.size:
+            if tally is not None:
+                tally.update(steps=retry + 1, retries=retry)
             scores[live] = value
             return scores
         back[todo] *= 4.0
@@ -281,38 +314,14 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float) -> np.nda
     )
 
 
-def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float) -> np.ndarray:
+def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=None) -> np.ndarray:
     """Lower bounds of the scores of the ascending spectra in the rows of mu,
-    as :func:`_root_scores` defines them, with no certificate pass.
-
-    x = 1 lies below every root of g, and Laguerre's method from there stays
-    below the smallest root x*, so at every point the upper bound of
-    :func:`_root_distances` caps x*; the least cap gives the lower bound
-    top / cap.  A row stops once its step or the gap to its cap is within
-    the scorer's stopping size, about eps / 4 on the score.  No fixed step
-    count serves: the steps needed grow with the input (four on
-    power_law(128, ...) before its first iterations prune, six on
-    power_law(256, ...)).
-    """
+    as :func:`_root_scores` defines them, with no certificate pass: top / cap
+    for the cap of :func:`_laguerre`."""
     floors = np.zeros(mu.shape[0])
     live, top, deg, b = _live_rows(mu, power, noise)
-    if not live.size:
-        return floors
-    x = np.ones(live.size)
-    cap = np.full(live.size, np.inf)
-    todo = np.arange(live.size)
-    for _ in range(_LAGUERRE_STEPS):
-        c, h = _taylor(x[todo], b[todo], power + 3)
-        step, upper = _root_distances(c, power, deg[todo])
-        x_t = x[todo]
-        cap[todo] = np.fmin(cap[todo], x_t + h * upper)
-        small = np.maximum(eps * x_t * x_t / (4.0 * top[todo]), 8.0 * MACHINE_EPS * x_t)
-        x_t += h * step
-        x[todo] = x_t
-        todo = todo[(np.abs(h * step) > small) & (cap[todo] - x_t > small)]
-        if not todo.size:
-            break
-    floors[live] = top / cap
+    if live.size:
+        floors[live] = top / _laguerre(b, power, deg, top, eps, tally)[1]
     return floors
 
 
@@ -366,18 +375,19 @@ def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float) -> np.ndarray:
 
 
 def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            b: np.ndarray | None = None) -> np.ndarray:
+            b: np.ndarray | None = None, tally=None) -> np.ndarray:
     """Certified scores, on state's scale, of the candidates whose directions
     are the rows of u, in row order: the eps-approximate largest root of the
     operator power of each candidate's residual characteristic polynomial.
-    b is state's E E^T, formed here when not given."""
+    b is state's E E^T, formed here when not given; tally counts as
+    :func:`_root_scores` does."""
     if b is None:
         b = state.e @ state.e.T
     step = max(1, _BLOCK_BYTES // (8 * b.size))
     eigs = np.concatenate([np.linalg.eigvalsh(_downdated(b, u[first : first + step]))
                            for first in range(0, u.shape[0], step)])
     np.maximum(eigs, 0.0, out=eigs)
-    return _root_scores(eigs, power, eps, state.noise)
+    return _root_scores(eigs, power, eps, state.noise, tally)
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -420,33 +430,42 @@ def _margin(score: float, eps: float, tie: float) -> float:
 
 
 def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[int, float, IterationStats]:
-    """One iteration's winner, its score and candidate counts: the smallest
-    index among the admissible candidates scoring within tie of the minimum.
+    """One iteration's winner, its score and counts: the smallest index among
+    the admissible candidates scoring within tie of the minimum.  Raises
+    AllCandidatesDegenerate when no candidate is admissible.
 
     Unless the bracket pass is skipped (see the module docstring), the
     candidate with the least certified lower bound is scored exactly first,
-    and then, in one call, every candidate whose bound is within
+    and then, in one call, every other candidate whose bound is within
     :func:`_margin` of that score; no other candidate can tie the minimum.
     """
     cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
     u = state.e[:, cands].T
     admissible = np.sqrt(np.einsum("ij,ij->i", u, u)) > state.tol
     if not admissible.any():
-        return -1, np.inf, IterationStats(0, 0)
+        raise AllCandidatesDegenerate(f"no admissible column at iteration {state.iteration + 1}; "
+                                      "cannot happen for k <= rank")
     cands, u = cands[admissible], u[admissible]
     count = cands.size
     b = state.e @ state.e.T
+    tally = Counter()
+    scores = np.full(count, np.inf)  # inf: not scored
+    todo = np.ones(count, dtype=bool)
     if not state.tied and count > _BLOCK_BYTES // (8 * b.size):
-        floors = _score_floors(_lower_spectra(b, u, state.noise), power, eps, state.noise)
+        floors = _score_floors(_lower_spectra(b, u, state.noise), power, eps, state.noise, tally)
         first = int(np.argmin(floors))
-        best = float(_scores(state, u[first : first + 1], power, eps, b)[0])
-        keep = floors <= best + _margin(best, eps, tie)
-        cands, u = cands[keep], u[keep]
-    scores = _scores(state, u, power, eps, b)
+        best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, b, tally)[0])
+        todo = floors <= best + _margin(best, eps, tie)
+        todo[first] = False
+    if todo.any():
+        scores[todo] = _scores(state, u[todo], power, eps, b, tally)
+    keep = scores < np.inf
+    cands, scores = cands[keep], scores[keep]
     low = float(scores.min())
     state.tied = bool(cands.size == count and scores.max() <= low + _margin(low, eps, tie))
     pos = int(np.argmax(scores <= low + tie))
-    return int(cands[pos]), float(scores[pos]), IterationStats(count, cands.size)
+    stats = IterationStats(count, cands.size, tally["steps"], tally["retries"])
+    return int(cands[pos]), float(scores[pos]), stats
 
 
 def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
@@ -478,28 +497,22 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
         raise RankExceeded(f"k={k} outside [1, rank={eigs.size}]")
     lam1 = float(eigs[0])
     tie = _TIE_ULPS * MACHINE_EPS * max(1.0, lam1 / scale)
-    prev_score = float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, state.noise)[0])
-
-    roots_scaled: list[float] = []
+    # the full spectrum's score heads the chain of winning scores
+    roots_scaled = [float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, state.noise)[0])]
     stats: list[IterationStats] = []
     for l in range(1, k + 1):
         best_idx, best_val, counts = _pick(state, k - l, eps_s, tie)
-        if best_idx < 0:
-            raise AllCandidatesDegenerate(
-                f"no admissible column at iteration {l}; cannot happen for k <= rank"
-            )
-        if best_val > prev_score + 2.0 * eps_s + tie:
+        if best_val > roots_scaled[-1] + 2.0 * eps_s + tie:
             raise CertificateViolation(
-                f"score chain violated at iteration {l}: {best_val} > {prev_score} + 2*eps"
+                f"score chain violated at iteration {l}: {best_val} > {roots_scaled[-1]} + 2*eps"
             )
-        prev_score = best_val
         roots_scaled.append(best_val)
         stats.append(counts)
         _advance(state, best_idx)
 
     subset = list(state.chosen)
     residual = _residual_sq(arr, subset, eigs.size, state.tol * np.sqrt(scale))
-    roots = [RootApprox(v * scale, eps) for v in roots_scaled]
+    roots = [RootApprox(v * scale, eps) for v in roots_scaled[1:]]
     if residual > roots[-1].value + roots[-1].epsilon + 1e-12 * lam1:
         raise CertificateViolation(
             f"final residual {residual!r} exceeds its certified root {roots[-1].value!r}"

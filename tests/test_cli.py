@@ -291,16 +291,28 @@ class TestUsageErrors:
 
 class TestExitCodes:
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
-    @pytest.mark.parametrize("command", ["bound", "verify", "gen", "bench"])
-    def test_bad_eps_is_usage_error_in_every_command(self, capsys, tmp_path, command, eps):
-        extra = {"gen": ["-o", str(tmp_path / "gen.mtx")], "bench": []}.get(command, ["-k", "3"])
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_bad_eps_is_usage_error_in_every_command(self, capsys, command, eps):
+        extra = {"bench": []}.get(command, ["-k", "3"])
         code = main([command, "--instance", "random:n=6,d=8,seed=3", *extra,
                      f"--eps={eps}", "--format", "json"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert "eps must be finite and positive" in captured.err
-        assert not (tmp_path / "gen.mtx").exists()
+
+    @pytest.mark.parametrize("option", ["--eps=1e-9", "--threads=2"])
+    @pytest.mark.parametrize("command", ["bound", "gen"])
+    def test_root_options_rejected_where_no_root_is_computed(self, capsys, tmp_path, command, option):
+        path = tmp_path / "gen.mtx"
+        extra = {"gen": ["-o", str(path)], "bound": ["-k", "3"]}[command]
+        code = main([command, "--instance", "random:n=6,d=8,seed=3", *extra, option,
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not path.exists()
 
     def test_verification_failure_exits_2(self, capsys, monkeypatch):
         import cssp.cli as cli_mod
@@ -327,9 +339,9 @@ class TestExitCodes:
 
         calls = []
 
-        def rising(mu, power, eps, noise):
+        def rising(mu, power, eps, noise, tally=None):
             calls.append(power)
-            return scorer(mu, power, eps, noise) + len(calls)
+            return scorer(mu, power, eps, noise, tally) + len(calls)
 
         scorer = selector_mod._root_scores
         monkeypatch.setattr(selector_mod, "_root_scores", rising)

@@ -302,7 +302,30 @@ class TestStateConsistency:
         for j in result.subset[:2]:
             _advance(state, j)
         got = candidate_score(state, result.subset[2], k).value
-        assert got == pytest.approx(result.iteration_roots[2].value, rel=1e-12, abs=0.0)
+        assert got == result.iteration_roots[2].value
+
+    @pytest.mark.parametrize(
+        "a, picks",
+        [
+            (random_gaussian(40, 80, 7), 3),
+            (power_law(16, 16, 16, 2.0, 1.0, 5), 3),
+            (_rank_deficient(20, 16, 6, 4), 2),
+        ],
+        ids=["wide", "power", "rank-deficient"],
+    )
+    def test_scores_do_not_depend_on_the_batch(self, a, picks):
+        # each candidate scored alone gives its batched score bit for bit
+        state = initial_state(a)
+        eps = 1e-9 / state.scale
+        for l in range(picks):
+            cands = np.delete(np.arange(a.shape[1]), state.chosen)
+            cands = cands[np.linalg.norm(state.e[:, cands], axis=0) > state.tol]
+            u = state.e[:, cands].T
+            power = state.eigs.size - l - 2
+            batched = selector_mod._scores(state, u, power, eps)
+            alone = [selector_mod._scores(state, u[i : i + 1], power, eps)[0] for i in range(len(u))]
+            assert np.array_equal(batched, alone)
+            selector_mod._advance(state, int(cands[np.argmin(batched)]))
 
 
 class TestRegressionPins:
@@ -384,9 +407,9 @@ def rising_scores(scorer):
     """The scorer with 1, 2, 3, ... added to the scores of successive calls."""
     calls = []
 
-    def rising(mu, power, eps, noise):
+    def rising(mu, power, eps, noise, tally=None):
         calls.append(power)
-        return scorer(mu, power, eps, noise) + len(calls)
+        return scorer(mu, power, eps, noise, tally) + len(calls)
 
     return rising
 
@@ -656,6 +679,51 @@ class TestSelectionStats:
         result = select(hard_instance(48, 1.0)[:, perm], 24)
         assert len(result.stats) == 24
         assert all(s.scored == s.admissible and s.pruned == 0 for s in result.stats)
+
+    def test_each_kept_candidate_is_scored_once(self, monkeypatch):
+        rows = []
+        scores = selector_mod._scores
+
+        def recorded(state, u, *args):
+            rows.append(u.shape[0])
+            return scores(state, u, *args)
+
+        monkeypatch.setattr(selector_mod, "_scores", recorded)
+        result = select(random_gaussian(40, 80, 7), 20)
+        assert sum(rows) == sum(s.scored for s in result.stats)
+
+    def test_wide_counters(self):
+        result = select(random_gaussian(40, 80, 7), 20)
+        assert [s.steps for s in result.stats] == [
+            11, 11, 11, 17, 17, 17, 17, 11, 11, 17, 17, 10, 9, 14, 9, 9, 9, 9, 4, 2,
+        ]
+        assert [s.retries for s in result.stats] == [0] * 20
+
+    def test_hard_instance_counters(self):
+        perm = np.random.Generator(np.random.Philox(7)).permutation(48)
+        result = select(hard_instance(48, 1.0)[:, perm], 24)
+        assert [s.steps for s in result.stats] == [8] + [3] * 22 + [2]
+        assert [s.retries for s in result.stats] == [0] * 24
+
+    def test_steps_count_taylor_expansions(self, monkeypatch):
+        # calls[0] counts select's own score of the full spectrum
+        calls = [0]
+        taylor, pick = selector_mod._taylor, selector_mod._pick
+
+        def counted(*args):
+            calls[-1] += 1
+            return taylor(*args)
+
+        def tracked(*args):
+            calls.append(0)
+            return pick(*args)
+
+        monkeypatch.setattr(selector_mod, "_taylor", counted)
+        monkeypatch.setattr(selector_mod, "_pick", tracked)
+        # an eps at the rounding level makes the certificate back off
+        result = select(random_gaussian(40, 80, 7), 20, eps=1e-16)
+        assert calls[1:] == [s.steps for s in result.stats]
+        assert sum(s.retries for s in result.stats) > 0
 
     def test_corpus_matrix_skips_the_bracket_pass(self, monkeypatch):
         def refused(*args):
