@@ -10,11 +10,14 @@ byte-stable across runs and thread counts: wall time is only included when
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
 import os
 import sys
+import time
+from dataclasses import replace
 
 from .bounds import hard_instance_bounds, residual_bound, spectrum_info, spectrum_of
 from .errors import (
@@ -22,13 +25,14 @@ from .errors import (
     CertificateViolation,
     CsspError,
     DegenerateDirection,
+    EmptySpectrum,
     NoRootInRange,
     ZeroPolynomial,
 )
 from .instances import hard_instance, power_law, random_gaussian
 from .mmio import load_matrix, save_matrix_market
 from .oracle import IDENTITY_TOLERANCES, run_identity_suite
-from .selector import DEFAULT_EPS, select
+from .selector import DEFAULT_EPS, _check_rank, _select, initial_state, select
 
 # exit code 3; every other package error, ValueError and OSError exits 1
 _NUMERICAL_ERRORS = (
@@ -122,20 +126,19 @@ def _emit(report: dict, fmt: str) -> None:
         print(json.dumps(report))
         return
     if fmt == "csv":
-        if "rows" in report and report["rows"] is not None:
+        out = csv.writer(sys.stdout, lineterminator="\n")  # quotes only fields with commas
+        if report.get("rows") is not None:
             cols = list(report["rows"][0].keys())
-            print(",".join(cols))
-            for row in report["rows"]:
-                print(",".join(str(row[c]) for c in cols))
+            out.writerow(cols)
+            out.writerows([row[c] for c in cols] for row in report["rows"])
         else:
             keys = [k for k, v in report.items() if v is not None and k != "identities"]
-            print(",".join(keys))
-            print(",".join(str(report[k]) for k in keys))
+            out.writerow(keys)
+            out.writerow([report[k] for k in keys])
         if report.get("identities"):
-            print("identity,error,tolerance,status")
-            for name, rec in report["identities"].items():
-                print(f"{name},{rec['error']},{rec['tolerance']},"
-                      f"{'pass' if rec['pass'] else 'FAIL'}")
+            out.writerow(["identity", "error", "tolerance", "status"])
+            out.writerows([name, rec["error"], rec["tolerance"], "pass" if rec["pass"] else "FAIL"]
+                          for name, rec in report["identities"].items())
         return
     # text
     for key, value in report.items():
@@ -203,7 +206,7 @@ def _hard_lower_bound(args, k):
 
 def _cmd_verify(args) -> int:
     matrix, source = _get_matrix(args)
-    suite = run_identity_suite(matrix, args.k, eps=args.eps, threads=args.threads)
+    suite = run_identity_suite(matrix, args.k, eps=args.eps)
     identities = {}
     all_pass = True
     for name, err in suite.identity_errors.items():
@@ -233,14 +236,20 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     matrix, source = _get_matrix(args)
-    info = spectrum_of(matrix)
+    state = initial_state(matrix)  # one spectrum and one QR for every k
+    if not state.eigs.size:
+        raise EmptySpectrum("matrix has numerical rank zero")
+    info = spectrum_info(state.eigs)
     k_lo = args.kmin if args.kmin is not None else 1
     k_hi = args.kmax if args.kmax is not None else max(info.t - 1, 1)
     if k_lo > k_hi:
         raise ValueError(f"empty k range: kmin={k_lo} > kmax={k_hi}")
+    ks = range(k_lo, k_hi + 1)
+    for k in ks:
+        _check_rank(k, info.t)
     rows = []
-    for k in range(k_lo, k_hi + 1):
-        result = select(matrix, k, eps=args.eps)
+    for k in ks:
+        result = _select(matrix, replace(state, chosen=[]), k, args.eps, time.perf_counter())
         bnd = residual_bound(info, k)
         row = {"k": k, "residual_sq": result.residual_sq,
                "bound": bnd.bound, "applicable": bnd.applicable}
@@ -273,8 +282,8 @@ def _add_io_arguments(sub, need_k=True, instance_only=False, roots=True):
         sub.add_argument("--eps", type=_parse_eps, default=DEFAULT_EPS,
                          help="root approximation tolerance (default 1e-9)")
         sub.add_argument("--threads", type=_parse_threads, default=1,
-                         help="worker threads for verify's exhaustive search, or 'auto'; "
-                              "selection ignores it")
+                         help="accepted (an integer >= 1 or 'auto') but has no effect: "
+                              "every command runs on one thread")
 
 
 @functools.cache  # parse_args leaves the parser as it is; building it dominates small calls

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFullColumnRank, TooManySubsets
+from .bounds import spectrum_info
+from .errors import EmptySpectrum, NotFullColumnRank, TooManySubsets
 from .linalg import (
     as_matrix,
     char_poly,
@@ -64,6 +64,16 @@ def _require_enumerable(d: int, k: int) -> int:
     return total
 
 
+def _volume_weighted(arr: np.ndarray, k: int):
+    """(subset, det(A_S^T A_S)) for each k-subset of columns with a nonzero
+    determinant, in lexicographic order, under one rank tolerance of A."""
+    d = arr.shape[1]
+    _require_enumerable(d, k)
+    tol = rank_tolerance(arr)
+    dets = ((s, gram_det_factored(arr, s, tol)) for s in itertools.combinations(range(d), k))
+    return ((s, det) for s, det in dets if det != 0.0)
+
+
 def svd_residual_sq(a, cols) -> float:
     """Squared spectral residual through numpy's SVD and pseudoinverse.
 
@@ -80,11 +90,10 @@ def svd_residual_sq(a, cols) -> float:
     return float(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
 
 
-def brute_force_best(a, k: int, threads: int = 1):
+def brute_force_best(a, k: int):
     """Exact optimum over all k-subsets: (subset, squared residual).
 
-    Ties resolve to the lexicographically smallest subset regardless of
-    evaluation order.
+    Ties resolve to the lexicographically smallest subset.
     """
     arr = as_matrix(a)
     d = arr.shape[1]
@@ -92,16 +101,7 @@ def brute_force_best(a, k: int, threads: int = 1):
     if not 0 <= k <= d:
         raise ValueError("need 0 <= k <= d")
     _require_enumerable(d, k)
-    combos = list(itertools.combinations(range(d), k))
-
-    def score(s):
-        return (svd_residual_sq(arr, s), s)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            best = min(pool.map(score, combos))
-    else:
-        best = min(map(score, combos))
+    best = min((svd_residual_sq(arr, s), s) for s in itertools.combinations(range(d), k))
     return list(best[1]), float(best[0])
 
 
@@ -144,17 +144,11 @@ def expected_poly_bruteforce(a, k: int) -> np.ndarray:
     tests assert.
     """
     arr = as_matrix(a)
-    d = arr.shape[1]
     k = int(k)
     if k == 0:
         return char_poly(gram(arr))
-    _require_enumerable(d, k)
-    tol = rank_tolerance(arr)
-    acc = np.zeros(d + 1)
-    for s in itertools.combinations(range(d), k):
-        det = gram_det_factored(arr, s, tol)
-        if det == 0.0:
-            continue
+    acc = np.zeros(arr.shape[1] + 1)
+    for s, det in _volume_weighted(arr, k):
         acc += det * residual_char_poly(arr, s)
     return math.factorial(k) * acc
 
@@ -189,10 +183,7 @@ def gram_det_sum_enumerated(a, k: int) -> float:
     k = int(k)
     if k == 0:
         return 1.0
-    _require_enumerable(arr.shape[1], k)
-    tol = rank_tolerance(arr)
-    return float(sum(gram_det_factored(arr, s, tol)
-                     for s in itertools.combinations(range(arr.shape[1]), k)))
+    return float(sum(det for _, det in _volume_weighted(arr, k)))
 
 
 def volume_mean_residual(a) -> float:
@@ -201,15 +192,11 @@ def volume_mean_residual(a) -> float:
     spectrum summary; rank-deficient subsets carry zero weight."""
     arr = as_matrix(a)
     t = numerical_rank(arr)
-    k = t - 1
-    _require_enumerable(arr.shape[1], max(k, 0))
-    tol = rank_tolerance(arr)
+    if t == 0:
+        raise EmptySpectrum("matrix has numerical rank zero")
     num = 0.0
     den = 0.0
-    for s in itertools.combinations(range(arr.shape[1]), k):
-        det = gram_det_factored(arr, s, tol)
-        if det == 0.0:
-            continue
+    for s, det in _volume_weighted(arr, t - 1):
         num += det * svd_residual_sq(arr, s)
         den += det
     return num / den
@@ -228,15 +215,9 @@ def expected_frobenius_residual(a, k: int) -> float:
 def volume_mean_frobenius_enumerated(a, k: int) -> float:
     """The same Frobenius expectation by direct weighted enumeration."""
     arr = as_matrix(a)
-    k = int(k)
-    _require_enumerable(arr.shape[1], k)
-    tol = rank_tolerance(arr)
     num = 0.0
     den = 0.0
-    for s in itertools.combinations(range(arr.shape[1]), k):
-        det = gram_det_factored(arr, s, tol)
-        if det == 0.0:
-            continue
+    for s, det in _volume_weighted(arr, int(k)):
         cols = list(s)
         sub = arr[:, cols]
         resid = arr - sub @ np.linalg.pinv(sub) @ arr if cols else arr
@@ -298,23 +279,23 @@ def _rel_err(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-300)
 
 
-def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1) -> OracleReport:
+def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     """Run every identity check on one instance and collect max errors.
 
     Pass/fail thresholds live in IDENTITY_TOLERANCES; callers compare.
     """
-    from .bounds import spectrum_of
-
     arr = as_matrix(a)
     d = arr.shape[1]
     k = int(k)
-    t = numerical_rank(arr)
+    eigs, tol = gram_spectrum(arr)
+    t = eigs.size
     if not 1 <= k <= t:
         raise ValueError(f"need 1 <= k <= rank = {t}")
     errors: dict[str, float] = {}
 
+    p_gram = char_poly(gram(arr))
     expected = expected_poly_bruteforce(arr, k)
-    operator = polar_power(char_poly(gram(arr)), k)
+    operator = polar_power(p_gram, k)
     scale = max(float(np.max(np.abs(operator))), 1e-300)
     errors["expected_poly_vs_operator"] = float(np.max(np.abs(expected - operator))) / scale
 
@@ -324,25 +305,24 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1) ->
             err = max(err, weighted_step_identity_error(arr, s))
     errors["weighted_step_sum"] = err
 
-    info = spectrum_of(arr)
-    errors["alpha_as_expectation"] = _rel_err(volume_mean_residual(arr), info.alpha)
+    errors["alpha_as_expectation"] = _rel_err(volume_mean_residual(arr),
+                                              spectrum_info(eigs).alpha)
 
-    kf = min(k, t - 1)
-    if kf >= 0:
-        errors["frobenius_expectation"] = _rel_err(
-            expected_frobenius_residual(arr, kf),
-            volume_mean_frobenius_enumerated(arr, kf),
-        )
+    kk = min(k, t - 1)
+    errors["frobenius_expectation"] = _rel_err(
+        expected_frobenius_residual(arr, kk),
+        volume_mean_frobenius_enumerated(arr, kk),
+    )
 
     det_err = 0.0
     for s in itertools.islice(itertools.combinations(range(d), k), 64):
         sub = arr[:, list(s)]
-        det_err = max(det_err, _rel_err(gram_det_factored(arr, s),
+        det_err = max(det_err, _rel_err(gram_det_factored(arr, s, tol),
                                         float(np.linalg.det(symmetrize(sub.T @ sub)))))
     errors["det_factorization"] = det_err
 
-    errors["subset_det_sum_two_routes"] = _rel_err(gram_det_sum(arr, k),
-                                                   gram_det_sum_enumerated(arr, k))
+    ck = gram_det_sum(arr, k)
+    errors["subset_det_sum_two_routes"] = _rel_err(ck, gram_det_sum_enumerated(arr, k))
 
     if t == d:
         ri_err = 0.0
@@ -353,24 +333,23 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS, threads: int = 1) ->
 
     errors["flip_involution"] = float(np.max(np.abs(flip(flip(expected)) - expected)))
 
-    p_full = char_poly(gram(arr))
     # structural zero roots of a rank-deficient Gram matrix leave rounding
     # residue in the low coefficients; zero it so the flip is clean
+    p_full = p_gram
     low = np.nonzero(np.abs(p_full) > 1e-12 * np.max(np.abs(p_full)))[0]
     if low.size and low[0] > 0:
         p_full = p_full.copy()
         p_full[: low[0]] = 0.0
-    kk = min(k, t - 1)
     if kk >= 1:
         mr = maxroot(polar_power(p_full, kk), eps).value
         mn = minroot(derivative(flip(p_full), kk), eps).value
         errors["reciprocal_root"] = abs(mr * mn - 1.0)
 
-    best_subset, best_res = brute_force_best(arr, k, threads=threads)
+    best_subset, best_res = brute_force_best(arr, k)
     return OracleReport(
         best_subset=best_subset,
         best_residual_sq=best_res,
         expected_poly=expected,
-        ck=gram_det_sum(arr, k),
+        ck=ck,
         identity_errors=errors,
     )

@@ -489,12 +489,20 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
     """
     start = time.perf_counter()
     arr = as_matrix(a)
-    k = int(k)
-    state = initial_state(arr)
+    return _select(arr, initial_state(arr), int(k), eps, start)
+
+
+def _check_rank(k: int, rank: int) -> None:
+    if not 1 <= k <= rank:
+        raise RankExceeded(f"k={k} outside [1, rank={rank}]")
+
+
+def _select(arr: np.ndarray, state: SelectionState, k: int, eps, start: float) -> SelectionResult:
+    """:func:`select` from the empty-selection state of arr, which it
+    advances; elapsed counts from start."""
     eps_s = _scaled_eps(state, eps)
     eigs, scale = state.eigs, state.scale
-    if not 1 <= k <= eigs.size:
-        raise RankExceeded(f"k={k} outside [1, rank={eigs.size}]")
+    _check_rank(k, eigs.size)
     lam1 = float(eigs[0])
     tie = _TIE_ULPS * MACHINE_EPS * max(1.0, lam1 / scale)
     # the full spectrum's score heads the chain of winning scores

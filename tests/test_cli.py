@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import pytest
 
 from cssp.cli import main, parse_instance_spec
 from cssp.instances import hard_instance, power_law
+from cssp.selector import initial_state, select
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +275,83 @@ class TestGenAndBench:
         assert lines[0].startswith("k,residual_sq,bound")
         assert len(lines) == 3
 
+    def test_bench_rows_match_select(self, capsys):
+        code, out = run_cli(capsys, "bench", "--instance", "random:n=6,d=8,seed=3",
+                            "--format", "json")
+        assert code == 0
+        matrix = parse_instance_spec("random:n=6,d=8,seed=3")
+        rows = json.loads(out)["rows"]
+        assert [row["k"] for row in rows] == [1, 2, 3, 4, 5]
+        for row in rows:
+            assert row["residual_sq"] == select(matrix, row["k"]).residual_sq
+
+    def test_bench_prepares_its_input_once(self, capsys, monkeypatch):
+        import cssp.cli as cli_mod
+
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return initial_state(a)
+
+        monkeypatch.setattr(cli_mod, "initial_state", counted)
+        code, _ = run_cli(capsys, "bench", "--instance", "power:n=8,d=8,seed=1",
+                          "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad, message", [(("--kmax", "5"), "k=4 outside [1, rank=3]"),
+                                              (("--kmin", "0"), "k=0 outside [1, rank=3]")],
+                             ids=["kmax", "kmin"])
+    def test_bench_k_outside_rank_rejected_before_selecting(self, capsys, monkeypatch,
+                                                           bad, message):
+        import cssp.cli as cli_mod
+
+        def never(*args):
+            raise AssertionError("a selection ran")
+
+        monkeypatch.setattr(cli_mod, "_select", never)
+        code = main(["bench", "--instance", "random:n=3,d=5,seed=2", *bad, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
+
+class TestCsvReports:
+    # instance specs, subsets and root lists contain commas
+    SPEC = "hard:d=5,delta=1"
+
+    @pytest.mark.parametrize("argv", [
+        ("select", "-k", "2"),
+        ("bound", "-k", "2"),
+        ("verify", "-k", "2"),
+        ("bench",),
+    ])
+    def test_rows_parse_to_header_length(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--instance", self.SPEC, "--format", "csv")
+        assert code == 0
+        blocks = [[]]
+        for row in csv.reader(io.StringIO(out)):
+            if row[0] == "identity":  # verify's second table
+                blocks.append([])
+            blocks[-1].append(row)
+        for block in blocks:
+            assert len(block) >= 2
+            assert {len(row) for row in block} == {len(block[0])}
+        report = dict(zip(*blocks[0][:2]))
+        if "input" in report:
+            assert report["input"] == f"instance:{self.SPEC}"
+
+    def test_select_fields_round_trip(self, capsys):
+        _, out = run_cli(capsys, "select", "--instance", self.SPEC, "-k", "2", "--format", "csv")
+        _, ref = run_cli(capsys, "select", "--instance", self.SPEC, "-k", "2", "--format", "json")
+        header, row = csv.reader(io.StringIO(out))
+        report = json.loads(ref)
+        fields = dict(zip(header, row))
+        assert json.loads(fields["subset"]) == report["subset"]
+        assert json.loads(fields["iteration_roots"]) == report["iteration_roots"]
+
 
 class TestUsageErrors:
     def test_missing_source(self, capsys):
@@ -365,6 +445,17 @@ class TestDeterminism:
                 proc = subprocess.run(cmd + ["--threads", threads],
                                       capture_output=True, check=True)
                 outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_verify_byte_identical_across_repeats_and_threads(self, capsys, fmt):
+        outputs = set()
+        for threads in ("1", "2", "auto"):
+            for _ in range(2):
+                code, out = run_cli(capsys, "verify", "--instance", "random:n=6,d=6,seed=1",
+                                    "-k", "3", "--threads", threads, "--format", fmt)
+                assert code == 0
+                outputs.add(out)
         assert len(outputs) == 1
 
     def test_auto_threads_accepted(self, capsys):

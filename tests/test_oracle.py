@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cssp.bounds import residual_bound, spectrum_of
-from cssp.errors import NotFullColumnRank, TooManySubsets
+from cssp.errors import EmptySpectrum, NotFullColumnRank, TooManySubsets
 from cssp.instances import hard_instance, random_gaussian
 from cssp.linalg import char_poly, gram, symmetrize
 from cssp.oracle import (
@@ -41,10 +41,6 @@ class TestBruteForce:
         subset, residual = brute_force_best(np.eye(3), 3)
         assert subset == [0, 1, 2]
         assert residual == pytest.approx(0.0, abs=1e-12)
-
-    def test_thread_determinism(self):
-        a = random_gaussian(5, 7, 1)
-        assert brute_force_best(a, 3) == brute_force_best(a, 3, threads=4)
 
     def test_cap(self):
         with pytest.raises(TooManySubsets):
@@ -144,6 +140,10 @@ class TestVolumeSamplingMeans:
             assert volume_mean_residual(a) == pytest.approx(
                 spectrum_of(a).alpha, rel=1e-7
             )
+
+    def test_alpha_rank_zero_is_typed(self):
+        with pytest.raises(EmptySpectrum):
+            volume_mean_residual(np.zeros((3, 2)))
 
     def test_frobenius_formula_values(self):
         a = np.diag([np.sqrt(3.0), 1.0])
