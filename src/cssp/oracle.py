@@ -4,6 +4,9 @@ Everything here exists to certify the fast path from an independent angle:
 residuals come from numpy's SVD and pseudoinverse, not from a Gram-Schmidt
 basis, determinants are cross-checked between a factored product and numpy,
 and the operator identity is tested against a literal weighted subset sum.
+Each subset's complement projector Q_S comes from the rank-one updates of
+that factored determinant, under one rank tolerance of A, so enumerating
+subsets takes no SVD of A per subset.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .linalg import (
     as_matrix,
     char_poly,
     check_subset,
-    complement_projector,
     gram,
     gram_spectrum,
     numerical_rank,
@@ -30,7 +32,7 @@ from .linalg import (
     symmetrize,
 )
 from .polynomial import flip, derivative, maxroot, minroot, polar_power
-from .selector import DEFAULT_EPS
+from .selector import DEFAULT_EPS, _check_rank
 
 ENUMERATION_CAP = 10**6
 
@@ -65,13 +67,19 @@ def _require_enumerable(d: int, k: int) -> int:
 
 
 def _volume_weighted(arr: np.ndarray, k: int):
-    """(subset, det(A_S^T A_S)) for each k-subset of columns with a nonzero
+    """(subset, det(A_S^T A_S), Q_S) per k-subset of columns with a nonzero
     determinant, in lexicographic order, under one rank tolerance of A."""
     d = arr.shape[1]
     _require_enumerable(d, k)
     tol = rank_tolerance(arr)
-    dets = ((s, gram_det_factored(arr, s, tol)) for s in itertools.combinations(range(d), k))
-    return ((s, det) for s, det in dets if det != 0.0)
+    weighted = ((s, *_det_and_projector(arr, s, tol))
+                for s in itertools.combinations(range(d), k))
+    return (w for w in weighted if w[1] != 0.0)
+
+
+def _residual_poly(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial of A^T Q A."""
+    return char_poly(symmetrize(arr.T @ q @ arr))
 
 
 def svd_residual_sq(a, cols) -> float:
@@ -115,25 +123,23 @@ def gram_det_factored(a, cols, tol: float | None = None) -> float:
     """
     arr = as_matrix(a)
     idx = check_subset(cols, arr.shape[1])
-    if tol is None:
-        tol = rank_tolerance(arr)
+    return _det_and_projector(arr, idx, rank_tolerance(arr) if tol is None else tol)[0]
+
+
+def _det_and_projector(arr: np.ndarray, idx, tol: float) -> tuple[float, np.ndarray]:
+    """(det(A_S^T A_S), Q_S) for the columns idx; a column within tol of the
+    span so far is skipped and makes the determinant zero."""
     q = np.eye(arr.shape[0])
     det = 1.0
     for j in idx:
         u = q @ arr[:, j]
         nu2 = float(u @ u)
         if np.sqrt(nu2) <= tol:
-            return 0.0
+            det = 0.0
+            continue
         det *= nu2
         q = projector_update(q, arr[:, j], tol)
-    return det
-
-
-def residual_char_poly(a, cols) -> np.ndarray:
-    """Characteristic polynomial of A^T Q_S A for the given columns."""
-    arr = as_matrix(a)
-    q = complement_projector(arr, cols)
-    return char_poly(symmetrize(arr.T @ q @ arr))
+    return det, q
 
 
 def expected_poly_bruteforce(a, k: int) -> np.ndarray:
@@ -148,8 +154,8 @@ def expected_poly_bruteforce(a, k: int) -> np.ndarray:
     if k == 0:
         return char_poly(gram(arr))
     acc = np.zeros(arr.shape[1] + 1)
-    for s, det in _volume_weighted(arr, k):
-        acc += det * residual_char_poly(arr, s)
+    for _, det, q in _volume_weighted(arr, k):
+        acc += det * _residual_poly(arr, q)
     return math.factorial(k) * acc
 
 
@@ -183,7 +189,7 @@ def gram_det_sum_enumerated(a, k: int) -> float:
     k = int(k)
     if k == 0:
         return 1.0
-    return float(sum(det for _, det in _volume_weighted(arr, k)))
+    return float(sum(det for _, det, _ in _volume_weighted(arr, k)))
 
 
 def volume_mean_residual(a) -> float:
@@ -196,7 +202,7 @@ def volume_mean_residual(a) -> float:
         raise EmptySpectrum("matrix has numerical rank zero")
     num = 0.0
     den = 0.0
-    for s, det in _volume_weighted(arr, t - 1):
+    for s, det, _ in _volume_weighted(arr, t - 1):
         num += det * svd_residual_sq(arr, s)
         den += det
     return num / den
@@ -217,7 +223,7 @@ def volume_mean_frobenius_enumerated(a, k: int) -> float:
     arr = as_matrix(a)
     num = 0.0
     den = 0.0
-    for s, det in _volume_weighted(arr, int(k)):
+    for s, det, _ in _volume_weighted(arr, int(k)):
         cols = list(s)
         sub = arr[:, cols]
         resid = arr - sub @ np.linalg.pinv(sub) @ arr if cols else arr
@@ -238,9 +244,10 @@ def restricted_invertibility_pair(a, cols, eps: float = DEFAULT_EPS):
     idx = check_subset(cols, d)
     if len(idx) >= d:
         raise ValueError("the subset must be a proper subset of the columns")
-    if numerical_rank(arr) < d:
+    eigs, tol = gram_spectrum(arr)
+    if eigs.size < d:
         raise NotFullColumnRank("matrix must have full column rank")
-    mr = maxroot(residual_char_poly(arr, idx), eps).value
+    mr = maxroot(_residual_poly(arr, _det_and_projector(arr, idx, tol)[1]), eps).value
     b = np.linalg.pinv(arr).T
     comp = [j for j in range(d) if j not in set(idx)]
     sig2_min = float(sym_eigenvalues(gram(b[:, comp]))[-1])
@@ -257,8 +264,7 @@ def weighted_step_identity_error(a, cols) -> float:
     d = arr.shape[1]
     idx = check_subset(cols, d)
     tol = rank_tolerance(arr)
-    q = complement_projector(arr, idx)
-    p_s = char_poly(symmetrize(arr.T @ q @ arr))
+    q = _det_and_projector(arr, idx, tol)[1]
     lhs = np.zeros(d + 1)
     chosen = set(idx)
     for i in range(d):
@@ -268,9 +274,8 @@ def weighted_step_identity_error(a, cols) -> float:
         nu2 = float(u @ u)
         if np.sqrt(nu2) <= tol:
             continue
-        q_i = symmetrize(q - np.outer(u, u) / nu2)
-        lhs += nu2 * char_poly(symmetrize(arr.T @ q_i @ arr))
-    rhs = polar_power(p_s, 1)
+        lhs += nu2 * _residual_poly(arr, projector_update(q, arr[:, i], tol))
+    rhs = polar_power(_residual_poly(arr, q), 1)
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))), 1e-300)
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -289,13 +294,13 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     k = int(k)
     eigs, tol = gram_spectrum(arr)
     t = eigs.size
-    if not 1 <= k <= t:
-        raise ValueError(f"need 1 <= k <= rank = {t}")
+    _check_rank(k, t)
     errors: dict[str, float] = {}
 
-    p_gram = char_poly(gram(arr))
+    # det[x I - A^T A] with exactly d - t zero roots, the rest from the spectrum
+    p_full = np.concatenate([np.zeros(d - t), np.polynomial.polynomial.polyfromroots(eigs)])
     expected = expected_poly_bruteforce(arr, k)
-    operator = polar_power(p_gram, k)
+    operator = polar_power(p_full, k)
     scale = max(float(np.max(np.abs(operator))), 1e-300)
     errors["expected_poly_vs_operator"] = float(np.max(np.abs(expected - operator))) / scale
 
@@ -333,13 +338,6 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
 
     errors["flip_involution"] = float(np.max(np.abs(flip(flip(expected)) - expected)))
 
-    # structural zero roots of a rank-deficient Gram matrix leave rounding
-    # residue in the low coefficients; zero it so the flip is clean
-    p_full = p_gram
-    low = np.nonzero(np.abs(p_full) > 1e-12 * np.max(np.abs(p_full)))[0]
-    if low.size and low[0] > 0:
-        p_full = p_full.copy()
-        p_full[: low[0]] = 0.0
     if kk >= 1:
         mr = maxroot(polar_power(p_full, kk), eps).value
         mn = minroot(derivative(flip(p_full), kk), eps).value

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cssp.bounds import residual_bound, spectrum_of
-from cssp.errors import EmptySpectrum, NotFullColumnRank, TooManySubsets
-from cssp.instances import hard_instance, random_gaussian
+from cssp.errors import EmptySpectrum, NotFullColumnRank, RankExceeded, TooManySubsets
+from cssp.instances import hard_instance, power_law, random_gaussian
 from cssp.linalg import char_poly, gram, symmetrize
 from cssp.oracle import (
     IDENTITY_TOLERANCES,
@@ -217,16 +217,49 @@ class TestSandwich:
 
 
 class TestIdentitySuite:
-    def test_all_pass_on_seeded_instance(self):
-        report = run_identity_suite(random_gaussian(6, 6, 1), 3)
+    # the power-law input is full rank, and its two lowest Gram polynomial
+    # coefficients are 1.3e-14 and 1.7e-11 of the largest: none is noise
+    @pytest.mark.parametrize("a, k", [
+        (random_gaussian(6, 6, 1), 3),
+        (random_gaussian(4, 7, 9), 2),
+        (power_law(8, 8, 8, 3, 1, 1), 5),
+        (power_law(8, 8, 8, 3, 1, 1), 7),
+    ], ids=["random6x6", "wide4x7", "power8-k5", "power8-k7"])
+    def test_identities_within_tolerance(self, a, k):
+        report = run_identity_suite(a, k)
         for name, err in report.identity_errors.items():
             assert err <= IDENTITY_TOLERANCES[name], (name, err)
+
+    def test_all_pass_on_seeded_instance(self):
+        report = run_identity_suite(random_gaussian(6, 6, 1), 3)
         assert report.best_subset == [0, 2, 4]
         assert report.ck > 0
 
     def test_wide_instance(self):
         report = run_identity_suite(random_gaussian(4, 7, 9), 2)
-        for name, err in report.identity_errors.items():
-            assert err <= IDENTITY_TOLERANCES[name], (name, err)
         # no restricted-invertibility check without full column rank
         assert "restricted_invertibility" not in report.identity_errors
+
+    def test_svd_count_independent_of_subset_count(self, monkeypatch):
+        # each subset's projector comes from the factored determinant, not
+        # from a fresh SVD of A: C(10, 3) = 120 and C(10, 4) = 210 subsets
+        a = random_gaussian(8, 10, 1)
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(m, *args, **kwargs):
+            calls.append(np.shape(m) == a.shape and np.array_equal(m, a))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        counts = []
+        for k in (3, 4):
+            calls.clear()
+            run_identity_suite(a, k)
+            counts.append(sum(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_k_outside_rank_is_typed(self, k):
+        with pytest.raises(RankExceeded, match=rf"k={k} outside \[1, rank=6\]"):
+            run_identity_suite(random_gaussian(6, 6, 1), k)
