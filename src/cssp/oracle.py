@@ -247,10 +247,17 @@ def restricted_invertibility_pair(a, cols, eps: float = DEFAULT_EPS):
     eigs, tol = gram_spectrum(arr)
     if eigs.size < d:
         raise NotFullColumnRank("matrix must have full column rank")
+    return _restricted_invertibility_pair(arr, idx, tol, np.linalg.pinv(arr).T, eps)
+
+
+def _restricted_invertibility_pair(arr: np.ndarray, idx, tol: float, pinv_t: np.ndarray,
+                                   eps: float) -> tuple[float, float]:
+    """:func:`restricted_invertibility_pair` of a full-column-rank arr under
+    its rank tolerance tol, given pinv(arr)^T."""
     mr = maxroot(_residual_poly(arr, _det_and_projector(arr, idx, tol)[1]), eps).value
-    b = np.linalg.pinv(arr).T
-    comp = [j for j in range(d) if j not in set(idx)]
-    sig2_min = float(sym_eigenvalues(gram(b[:, comp]))[-1])
+    chosen = set(idx)
+    comp = [j for j in range(arr.shape[1]) if j not in chosen]
+    sig2_min = float(sym_eigenvalues(gram(pinv_t[:, comp]))[-1])
     return float(mr), 1.0 / sig2_min
 
 
@@ -331,8 +338,9 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
 
     if t == d:
         ri_err = 0.0
+        pinv_t = np.linalg.pinv(arr).T
         for s in itertools.islice(itertools.combinations(range(d), min(k, d - 1)), 32):
-            lhs, rhs = restricted_invertibility_pair(arr, s, eps)
+            lhs, rhs = _restricted_invertibility_pair(arr, list(s), tol, pinv_t, eps)
             ri_err = max(ri_err, _rel_err(lhs, rhs))
         errors["restricted_invertibility"] = ri_err
 

@@ -27,6 +27,12 @@ and the tie rule are those of scoring every candidate.  The bracket pass
 is skipped when all candidate matrices fit in one eigvalsh block, and
 after a fully scored iteration in which every candidate tied within that
 margin, where nothing can be pruned.
+
+Exact scoring takes each candidate's downdated spectrum by one stacked
+eigvalsh of r x r matrices, unless the spectrum of B, carried from pick to
+pick at no eigen cost, holds a cluster: then one eigh(B) serves the bracket
+and a deflation that leaves each candidate one c x c problem, c the number
+of clusters (two on the hard instance, where nothing is pruned).
 """
 
 from __future__ import annotations
@@ -66,6 +72,14 @@ _CERTIFICATE_RETRIES = 3
 # wider product w @ K.
 _GRID = 15
 
+# Eigenvalues of E E^T within this fraction of the spectrum noise level of
+# each other form a cluster that exact scoring deflates (see _deflated),
+# where the noise level is at least _DEFLATION_ULPS rounding units of the
+# top eigenvalue: eigh's backward error, a few such units, and the cluster
+# width then stay well within the noise level that the bracket sets aside.
+_CLUSTER_WIDTH = 0.25
+_DEFLATION_ULPS = 16.0
+
 
 @dataclass
 class SelectionState:
@@ -74,8 +88,9 @@ class SelectionState:
     complement projector of the chosen columns S), whose column i is
     candidate i's direction; it starts as the triangular factor R of the
     input (R^T R = A^T A / scale) and each pick drops one row; the input's
-    positive Gram eigenvalues eigs; and, on e's scale, the rank cutoff tol
-    for directions and the spectrum noise level."""
+    positive Gram eigenvalues eigs; on e's scale, the rank cutoff tol for
+    directions and the spectrum noise level; and spec, the ascending
+    spectrum of e e^T, clipped at 0, carried from pick to pick."""
 
     chosen: list[int]
     e: np.ndarray
@@ -83,9 +98,12 @@ class SelectionState:
     scale: float
     tol: float
     noise: float
+    spec: np.ndarray
     # every candidate of the last fully scored iteration tied within the
     # pruning margin, so the next iteration skips the bracket pass
     tied: bool = False
+    # (winner, spec once it is picked) left by _pick for _advance
+    next_spec: tuple[int, np.ndarray] | None = None
 
     @property
     def iteration(self) -> int:
@@ -132,15 +150,31 @@ def initial_state(a) -> SelectionState:
     # downdates and eigvalsh are accurate to about eps_mach * ||A||_2^2,
     # whatever a candidate's own top eigenvalue: smaller entries are noise
     noise = e.shape[0] * MACHINE_EPS * lam1 / scale
-    return SelectionState(chosen=[], e=e, eigs=eigs, scale=scale, tol=tol * 2.0**-m, noise=noise)
+    spec = np.concatenate([np.zeros(e.shape[0] - eigs.size), eigs[::-1] / scale])
+    return SelectionState(chosen=[], e=e, eigs=eigs, scale=scale, tol=tol * 2.0**-m, noise=noise,
+                          spec=spec)
 
 
 def _scaled_eps(state: SelectionState, eps) -> float:
-    """eps, given on the input scale, on the scale of state."""
+    """eps, given on the input scale, on the scale of state, capped at
+    8 T^2 / noise, T = 2 lam_1 / scale, twice any spectrum's top entry.
+
+    Every root of a candidate's polynomial lies below top / noise, as its
+    entries at most noise count as zero, so from that cap on each Laguerre
+    row stops at its first step, the certificate backs off by x, and the
+    tolerance and pruning margin exceed every score: every use of eps is
+    saturated, and the cap changes no result.  It keeps eps * x * x finite
+    where eps on the rescaled input would overflow it (about 1e291 for an
+    input near 1e-150).  A noise level that underflowed to 0 bounds no
+    root, and then eps is not capped."""
     eps = float(eps)
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    return eps / state.scale
+    eps /= state.scale
+    if state.noise > 0.0:
+        top = 2.0 * (state.eigs[0] / state.scale if state.eigs.size else 1.0)
+        eps = min(eps, 8.0 * top * top / state.noise)
+    return eps
 
 
 def _downdated(b: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -325,10 +359,11 @@ def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=No
     return floors
 
 
-def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float) -> np.ndarray:
+def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np.ndarray:
     """Certified lower ends of the spectra of the downdated matrices of
     :func:`_downdated`, ascending as eigvalsh gives them, each lowered by
-    twice noise and clipped at 0, without forming those matrices.
+    twice noise and clipped at 0, without forming those matrices.  basis is
+    eigh(b), taken here when not given.
 
     The downdated spectrum is 0 (the direction u) and mu_1 .. mu_r-1, which
     interlace the spectrum lam of b: mu_i in [lam_i, lam_i+1].  Inside that
@@ -341,9 +376,10 @@ def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float) -> np.ndarray:
     near_m the distance from x_m to the nearer end, so |K| <= 1 and a value
     within (r + 10) ulps of 0 certifies no sign.  The widening covers the
     backward errors of eigh here and of the downdate and eigvalsh of the
-    exact path.  Intervals narrower than noise are not refined.
+    exact path, deflated or not.  Intervals narrower than noise are not
+    refined.
     """
-    lam, vecs = np.linalg.eigh(b)
+    lam, vecs = np.linalg.eigh(b) if basis is None else basis
     r, n = lam.size, u.shape[0]
     z = u @ vecs
     w = z * z / np.einsum("ij,ij->i", u, u)[:, None]
@@ -374,20 +410,89 @@ def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float) -> np.ndarray:
     return lower
 
 
+def _basis(state: SelectionState, b: np.ndarray):
+    """eigh(b), for b = state's E E^T, when exact scoring deflates; None
+    otherwise.  It deflates when the carried spectrum state.spec holds a
+    cluster, two values within _CLUSTER_WIDTH * noise, and noise is at
+    least _DEFLATION_ULPS rounding units of its top value: an O(r) check."""
+    spec = state.spec
+    if (spec.size > 1 and state.noise >= _DEFLATION_ULPS * MACHINE_EPS * spec[-1]
+            and (spec[1:] - spec[:-1]).min() <= _CLUSTER_WIDTH * state.noise):
+        return np.linalg.eigh(b)
+    return None
+
+
+def _deflated(lam: np.ndarray, vecs: np.ndarray, u: np.ndarray, width: float) -> np.ndarray:
+    """Ascending spectra of the downdated matrices of :func:`_downdated` for
+    b = V diag(lam) V^T (eigh's lam, vecs), by the deflation step of rank-one
+    eigenvalue updates (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
+
+    lam, ascending, is cut into clusters from the bottom, each at most width
+    from its least to its greatest value, and each cluster's values are
+    replaced by their mean lam_c, which moves b by at most width; the mean
+    keeps the trace, so eigh's errors over a cluster do not add up.  In a
+    cluster of m values, the m - 1 directions of its eigenspace that
+    are orthogonal to u keep lam_c after the downdate; what is left is the
+    c x c matrix P diag(lam_c) P, P = I - zeta zeta^T / |zeta|^2, zeta the
+    norms of z = V^T u over the c clusters.  So each candidate's spectrum is
+    eigvalsh of one c x c matrix and each lam_c repeated m - 1 times.  Rows
+    are formed one at a time, as in :func:`_downdated`, so a row's result
+    does not depend on the rows stacked with it."""
+    starts = [0]
+    for i in range(1, lam.size):
+        if lam[i] - lam[starts[-1]] > width:
+            starts.append(i)
+    starts = np.array(starts)
+    sizes = np.diff(np.append(starts, lam.size))
+    lam_c = np.add.reduceat(lam, starts) / sizes
+    u = np.ascontiguousarray(u)
+    z = (u[:, None, :] @ vecs)[:, 0]
+    zeta = np.sqrt(np.add.reduceat(z * z, starts, axis=1))
+    d = np.diag(lam_c)
+    step = max(1, _BLOCK_BYTES // (8 * d.size))
+    small = [np.linalg.eigvalsh(_downdated(d, zeta[first : first + step]))
+             for first in range(0, u.shape[0], step)]
+    kept = np.broadcast_to(np.repeat(lam_c, sizes - 1), (u.shape[0], lam.size - lam_c.size))
+    mu = np.concatenate([np.concatenate(small), kept], axis=1)
+    mu.sort(axis=1)
+    return mu
+
+
+def _spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np.ndarray:
+    """Ascending spectra, clipped at 0, of the downdated matrices of
+    :func:`_downdated` for the rows of u: by :func:`_deflated` when basis
+    (eigh(b), see :func:`_basis`) is given, else by stacked eigvalsh over
+    index-ordered blocks of candidates.
+
+    The deflated spectra differ from the exact ones by at most the cluster
+    width, noise / 4, plus eigh's backward error, which is of the order of
+    the downdate and eigvalsh errors of the other route; the bracket's
+    widening by twice noise sets one noise aside for either."""
+    if basis is not None:
+        eigs = _deflated(*basis, u, _CLUSTER_WIDTH * noise)
+    else:
+        step = max(1, _BLOCK_BYTES // (8 * b.size))
+        eigs = np.concatenate([np.linalg.eigvalsh(_downdated(b, u[first : first + step]))
+                               for first in range(0, u.shape[0], step)])
+    np.maximum(eigs, 0.0, out=eigs)
+    return eigs
+
+
 def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            b: np.ndarray | None = None, tally=None) -> np.ndarray:
+            b: np.ndarray | None = None, tally=None, basis=None, spectra=None) -> np.ndarray:
     """Certified scores, on state's scale, of the candidates whose directions
     are the rows of u, in row order: the eps-approximate largest root of the
     operator power of each candidate's residual characteristic polynomial.
-    b is state's E E^T, formed here when not given; tally counts as
-    :func:`_root_scores` does."""
+    b is state's E E^T and basis its :func:`_basis`, both formed here when b
+    is not given; tally counts as :func:`_root_scores` does; a list spectra,
+    when given, gets the candidates' :func:`_spectra` appended."""
     if b is None:
         b = state.e @ state.e.T
-    step = max(1, _BLOCK_BYTES // (8 * b.size))
-    eigs = np.concatenate([np.linalg.eigvalsh(_downdated(b, u[first : first + step]))
-                           for first in range(0, u.shape[0], step)])
-    np.maximum(eigs, 0.0, out=eigs)
-    return _root_scores(eigs, power, eps, state.noise, tally)
+        basis = _basis(state, b)
+    mu = _spectra(b, u, state.noise, basis)
+    if spectra is not None:
+        spectra.append(mu)
+    return _root_scores(mu, power, eps, state.noise, tally)
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -415,12 +520,19 @@ def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_
 def _advance(state: SelectionState, j: int) -> None:
     """Select column j: reflect its direction u onto the first axis with a
     Householder reflector H and keep rows 1.. of H e.  Row 0 of H e is
-    +-(u/|u|)^T e, so dropping it projects e off u, and e loses one row."""
+    +-(u/|u|)^T e, so dropping it projects e off u, and e loses one row.
+    The carried spectrum is the one :func:`_pick` left for j, and is taken
+    afresh for a column picked otherwise."""
     e = state.e
     v = e[:, j].copy()
     v[0] += np.copysign(np.sqrt(v @ v), v[0])
     state.e = e[1:] - np.outer(v[1:], (v @ e) * (2.0 / (v @ v)))
     state.chosen.append(j)
+    col, spec = state.next_spec or (-1, None)
+    state.next_spec = None
+    if col != j:
+        spec = np.maximum(np.linalg.eigvalsh(state.e @ state.e.T), 0.0)
+    state.spec = spec
 
 
 def _margin(score: float, eps: float, tie: float) -> float:
@@ -438,6 +550,8 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
     candidate with the least certified lower bound is scored exactly first,
     and then, in one call, every other candidate whose bound is within
     :func:`_margin` of that score; no other candidate can tie the minimum.
+    The winner's downdated spectrum, without its direction's zero, is left
+    in state.next_spec for :func:`_advance`.
     """
     cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
     u = state.e[:, cands].T
@@ -448,22 +562,33 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
     cands, u = cands[admissible], u[admissible]
     count = cands.size
     b = state.e @ state.e.T
+    basis = _basis(state, b)
     tally = Counter()
     scores = np.full(count, np.inf)  # inf: not scored
     todo = np.ones(count, dtype=bool)
+    first = -1
+    spectra = []  # of the candidates of each _scores call
     if not state.tied and count > _BLOCK_BYTES // (8 * b.size):
-        floors = _score_floors(_lower_spectra(b, u, state.noise), power, eps, state.noise, tally)
+        floors = _score_floors(_lower_spectra(b, u, state.noise, basis), power, eps, state.noise,
+                               tally)
         first = int(np.argmin(floors))
-        best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, b, tally)[0])
+        best = scores[first] = float(
+            _scores(state, u[first : first + 1], power, eps, b, tally, basis, spectra)[0])
         todo = floors <= best + _margin(best, eps, tie)
         todo[first] = False
     if todo.any():
-        scores[todo] = _scores(state, u[todo], power, eps, b, tally)
+        scores[todo] = _scores(state, u[todo], power, eps, b, tally, basis, spectra)
     keep = scores < np.inf
     cands, scores = cands[keep], scores[keep]
     low = float(scores.min())
     state.tied = bool(cands.size == count and scores.max() <= low + _margin(low, eps, tie))
     pos = int(np.argmax(scores <= low + tie))
+    if first < 0:  # one _scores call for every candidate
+        mu = spectra[0][pos]
+    else:
+        win = int(np.flatnonzero(keep)[pos])  # among the admissible candidates
+        mu = spectra[0][0] if win == first else spectra[1][np.count_nonzero(todo[:win])]
+    state.next_spec = (int(cands[pos]), mu[1:].copy())
     stats = IterationStats(count, cands.size, tally["steps"], tally["retries"])
     return int(cands[pos]), float(scores[pos]), stats
 

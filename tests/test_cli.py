@@ -135,6 +135,18 @@ class TestFloatRange:
                               "-k", "3", "--format", "json")
         assert json.loads(out)["subset"] == json.loads(unscaled)["subset"]
 
+    def test_select_at_tiny_scale_is_quiet(self, tmp_path):
+        # eps is about 1e291 on this input's scale, and no product overflows
+        from cssp.mmio import save_matrix_market
+
+        path = tmp_path / "tiny.mtx"
+        save_matrix_market(path, np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10]) * 1e-150)
+        proc = subprocess.run([sys.executable, "-m", "cssp.cli", "select", "--input", str(path),
+                               "-k", "3", "--format", "json"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["subset"] == [1, 2, 3]  # 1-based
+
     @pytest.mark.parametrize("command", ["select", "bound"])
     def test_norm_with_infinite_square_is_usage_error(self, capsys, tmp_path, command):
         code = main([command, "--input", self._write(tmp_path, 1e160), "-k", "3"])

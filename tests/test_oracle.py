@@ -259,6 +259,45 @@ class TestIdentitySuite:
             counts.append(sum(calls))
         assert counts[0] == counts[1]
 
+    def test_restricted_invertibility_shares_the_suite_spectrum(self, monkeypatch):
+        # the suite checks C(6, 2) = 15 and C(6, 3) = 20 subsets against one
+        # spectrum and one pseudoinverse of A
+        import cssp.oracle as oracle_mod
+
+        a = random_gaussian(6, 6, 1)
+        spectra, pinvs = [], []
+        gram_spectrum, pinv = oracle_mod.gram_spectrum, np.linalg.pinv
+
+        def counting_spectrum(m):
+            spectra.append(1)
+            return gram_spectrum(m)
+
+        def counting_pinv(m, *args, **kwargs):
+            pinvs.append(np.shape(m) == a.shape and np.array_equal(m, a))
+            return pinv(m, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "gram_spectrum", counting_spectrum)
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        counts = []
+        for k in (2, 3):
+            spectra.clear()
+            pinvs.clear()
+            assert "restricted_invertibility" in run_identity_suite(a, k).identity_errors
+            counts.append((len(spectra), sum(pinvs)))
+        assert counts[0] == counts[1]
+        assert counts[0][1] == 1
+
+    def test_restricted_invertibility_pair_from_shared_spectrum(self):
+        import cssp.oracle as oracle_mod
+        from cssp.linalg import gram_spectrum
+
+        a = random_gaussian(5, 5, 3)
+        tol = gram_spectrum(a)[1]
+        pinv_t = np.linalg.pinv(a).T
+        for s in itertools.combinations(range(5), 2):
+            shared = oracle_mod._restricted_invertibility_pair(a, list(s), tol, pinv_t, 1e-9)
+            assert shared == restricted_invertibility_pair(a, s)
+
     @pytest.mark.parametrize("k", [0, 7])
     def test_k_outside_rank_is_typed(self, k):
         with pytest.raises(RankExceeded, match=rf"k={k} outside \[1, rank=6\]"):

@@ -239,6 +239,13 @@ class TestSelect:
         graded = (u * np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14])) @ vt
         assert select(graded * 1e-140, 6).subset == select(graded, 6).subset
 
+    def test_tiny_scale_has_no_overflow(self):
+        # eps on this input's scale would be about 1e291; it is capped where
+        # every use of it saturates, so no product overflows (pytest turns a
+        # RuntimeWarning into an error)
+        a = np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10]) * 1e-150
+        assert select(a, 3).subset == [0, 1, 2]
+
     def test_one_spectrum_per_selection(self, monkeypatch):
         import cssp.linalg as linalg_mod
 
@@ -304,14 +311,35 @@ class TestStateConsistency:
         got = candidate_score(state, result.subset[2], k).value
         assert got == result.iteration_roots[2].value
 
+    def test_candidate_score_on_clustered_state_matches_select(self, monkeypatch):
+        # the hard instance's scores come from deflated spectra, and
+        # candidate_score takes the same route, so they agree bit for bit
+        perm = np.random.Generator(np.random.Philox(7)).permutation(24)
+        a, k = hard_instance(24, 1.0)[:, perm], 12
+        result = select(a, k)
+        calls = []
+        deflated = selector_mod._deflated
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return deflated(*args)
+
+        monkeypatch.setattr(selector_mod, "_deflated", counted)
+        state = initial_state(a)
+        for l, j in enumerate(result.subset[:4]):
+            assert candidate_score(state, j, k).value == result.iteration_roots[l].value
+            selector_mod._advance(state, j)
+        assert calls == [1] * 4
+
     @pytest.mark.parametrize(
         "a, picks",
         [
             (random_gaussian(40, 80, 7), 3),
             (power_law(16, 16, 16, 2.0, 1.0, 5), 3),
             (_rank_deficient(20, 16, 6, 4), 2),
+            (hard_instance(24, 1.0)[:, np.random.Generator(np.random.Philox(3)).permutation(24)], 3),
         ],
-        ids=["wide", "power", "rank-deficient"],
+        ids=["wide", "power", "rank-deficient", "hard"],
     )
     def test_scores_do_not_depend_on_the_batch(self, a, picks):
         # each candidate scored alone gives its batched score bit for bit
@@ -596,6 +624,73 @@ def _admissible(state):
     return u[np.linalg.norm(u, axis=1) > state.tol]
 
 
+def _clustered_input(kind, n, d, seed):
+    """An input whose Gram matrix has repeated eigenvalues: the permuted
+    hard instance, a low-rank power law (a cluster at zero) or
+    Q diag(values from a set of three) W^T."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kind == "hard":
+        return hard_instance(d, float(rng.uniform(0.1, 3.0)))[:, rng.permutation(d)]
+    m = min(n, d)
+    if kind == "low-rank":
+        return power_law(n, d, int(rng.integers(1, m - 1)), float(rng.uniform(0.5, 3.0)), 1.0, seed)
+    q = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    w = np.linalg.qr(rng.standard_normal((d, m)))[0]
+    return (q * rng.choice([0.3, 1.0, 2.0], size=m)) @ w.T
+
+
+class TestDeflation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["hard", "low-rank", "repeated"]),
+        n=st.integers(17, 32),
+        d=st.integers(17, 32),
+        seed=st.integers(0, 2**16),
+        picked=st.integers(0, 6),
+    )
+    def test_spectra_within_noise(self, kind, n, d, seed, picked):
+        # clusters at most noise / 4 wide, replaced by their means, plus
+        # eigh's backward error stay within the noise level where it is at
+        # least 16 ulps of the top eigenvalue, as it is when E starts with
+        # more than 16 rows
+        state = _walk(_clustered_input(kind, n, d, seed), picked, seed)
+        u = _admissible(state)
+        b = state.e @ state.e.T
+        assert state.noise >= selector_mod._DEFLATION_ULPS * MACHINE_EPS * state.spec[-1]
+        got = selector_mod._spectra(b, u, state.noise, np.linalg.eigh(b))
+        want = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
+        assert np.max(np.abs(got - want)) <= state.noise
+
+    def test_clusters_shrink_the_eigen_problems(self, monkeypatch):
+        # the hard instance's B has two clusters at every iteration, so each
+        # candidate's spectrum takes one 2 x 2 eigvalsh
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m):
+            sizes.append(m.shape[-1])
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        perm = np.random.Generator(np.random.Philox(29)).permutation(48)
+        select(hard_instance(48, 1.0)[:, perm], 24)
+        assert set(sizes) == {2}
+
+
+class TestNoOverflow:
+    @pytest.mark.parametrize("f", [1.0, 1e-150])
+    def test_eps_is_capped_where_it_saturates(self, f):
+        # a quarter of the cap already saturates every use of eps, so the
+        # capped eps selects as that uncapped one does, at any input scale
+        a = power_law(12, 12, 12, 2.0, 1.0, 3) * f
+        state = initial_state(a)
+        cap = selector_mod._scaled_eps(state, 1e300) * state.scale
+        assert cap < 1e300 * f * f
+        low, high = select(a, 6, eps=cap / 4), select(a, 6, eps=1e300 * f * f)
+        assert low.subset == high.subset
+        assert [r.value for r in low.iteration_roots] == [r.value for r in high.iteration_roots]
+
+
 class TestBracketPass:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -618,14 +713,18 @@ class TestBracketPass:
             if block is not None:
                 selector_mod._BLOCK_BYTES = saved
         mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
-        assert lower.shape == mu.shape
+        # the exact path's spectra: deflated when the state holds a cluster
+        used = selector_mod._spectra(b, u, state.noise, selector_mod._basis(state, b))
+        assert lower.shape == mu.shape == used.shape
         assert np.all(lower <= mu)
+        assert np.all(lower <= used)
         assert np.all(np.diff(lower, axis=1) >= 0.0)
         left = state.eigs.size - state.iteration
         for power in {0, (left - 1) // 2, left - 1}:
             floors = selector_mod._score_floors(lower, power, 1e-9, state.noise)
-            exact = selector_mod._root_scores(mu, power, 1e-9, state.noise)
-            assert np.all(floors <= exact + np.maximum(1e-9, 64 * MACHINE_EPS * exact))
+            for spectra in (mu, used):
+                exact = selector_mod._root_scores(spectra, power, 1e-9, state.noise)
+                assert np.all(floors <= exact + np.maximum(1e-9, 64 * MACHINE_EPS * exact))
 
     def test_lower_ends_refine_interlacing(self):
         # the sign tests lift most lower ends above the interlacing bound
@@ -724,6 +823,31 @@ class TestSelectionStats:
         result = select(random_gaussian(40, 80, 7), 20, eps=1e-16)
         assert calls[1:] == [s.steps for s in result.stats]
         assert sum(s.retries for s in result.stats) > 0
+
+    def test_deflation_runs_only_on_clustered_spectra(self, monkeypatch):
+        pick, deflated = selector_mod._pick, selector_mod._deflated
+
+        def refused(*args):
+            raise AssertionError("deflation ran")
+
+        monkeypatch.setattr(selector_mod, "_deflated", refused)
+        select(random_gaussian(40, 80, 7), 20)
+        select(power_law(64, 64, 64, 2.0, 1.0, 7), 52)
+        calls = []
+
+        def tracked(*args):
+            calls.append(0)
+            return pick(*args)
+
+        def counted(*args):
+            calls[-1] += 1
+            return deflated(*args)
+
+        monkeypatch.setattr(selector_mod, "_pick", tracked)
+        monkeypatch.setattr(selector_mod, "_deflated", counted)
+        perm = np.random.Generator(np.random.Philox(7)).permutation(48)
+        select(hard_instance(48, 1.0)[:, perm], 24)
+        assert len(calls) == 24 and all(calls)
 
     def test_corpus_matrix_skips_the_bracket_pass(self, monkeypatch):
         def refused(*args):
