@@ -28,11 +28,12 @@ is skipped when all candidate matrices fit in one eigvalsh block, and
 after a fully scored iteration in which every candidate tied within that
 margin, where nothing can be pruned.
 
-Exact scoring takes each candidate's downdated spectrum by one stacked
-eigvalsh of r x r matrices, unless the spectrum of B, carried from pick to
-pick at no eigen cost, holds a cluster: then one eigh(B) serves the bracket
-and a deflation that leaves each candidate one c x c problem, c the number
-of clusters (two on the hard instance, where nothing is pruned).
+Each iteration takes one eigh(B), which serves the bracket pass and
+decides the route of exact scoring: each candidate's downdated spectrum is
+one stacked eigvalsh of r x r matrices, unless the eigenvalues of B hold a
+cluster; then a deflation leaves each candidate one c x c problem, c the
+number of clusters (two on the hard instance, where nothing is pruned).  At
+power 0 a score is its spectrum's top entry, with no root to seek.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ class SelectionState:
     candidate i's direction; it starts as the triangular factor R of the
     input (R^T R = A^T A / scale) and each pick drops one row; the input's
     positive Gram eigenvalues eigs; on e's scale, the rank cutoff tol for
-    directions and the spectrum noise level; and spec, the ascending
-    spectrum of e e^T, clipped at 0, carried from pick to pick."""
+    directions and the spectrum noise level."""
 
     chosen: list[int]
     e: np.ndarray
@@ -98,12 +98,9 @@ class SelectionState:
     scale: float
     tol: float
     noise: float
-    spec: np.ndarray
     # every candidate of the last fully scored iteration tied within the
     # pruning margin, so the next iteration skips the bracket pass
     tied: bool = False
-    # (winner, spec once it is picked) left by _pick for _advance
-    next_spec: tuple[int, np.ndarray] | None = None
 
     @property
     def iteration(self) -> int:
@@ -148,11 +145,10 @@ def initial_state(a) -> SelectionState:
     scale = 4.0**m
     e = np.linalg.qr(arr * 2.0**-m, mode="r")
     # downdates and eigvalsh are accurate to about eps_mach * ||A||_2^2,
-    # whatever a candidate's own top eigenvalue: smaller entries are noise
-    noise = e.shape[0] * MACHINE_EPS * lam1 / scale
-    spec = np.concatenate([np.zeros(e.shape[0] - eigs.size), eigs[::-1] / scale])
-    return SelectionState(chosen=[], e=e, eigs=eigs, scale=scale, tol=tol * 2.0**-m, noise=noise,
-                          spec=spec)
+    # whatever a candidate's own top eigenvalue: smaller entries are noise;
+    # rescaled first, as the product underflows on tiny inputs
+    noise = e.shape[0] * MACHINE_EPS * (lam1 / scale)
+    return SelectionState(chosen=[], e=e, eigs=eigs, scale=scale, tol=tol * 2.0**-m, noise=noise)
 
 
 def _scaled_eps(state: SelectionState, eps) -> float:
@@ -309,10 +305,15 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     orders power .. r put every root of g above z (Budan-Fourier), so the
     bounds of :func:`_root_distances` from z bracket x*, and both ends must
     score within the tolerance.  A row with deg = r - power <= 0 has a
-    constant g and scores 0.  tally counts as :func:`_laguerre` does, with
-    certificate points, and its "retries" the back-offs.  Raises
-    CertificateViolation when a score cannot be certified.
+    constant g and scores 0.  At power 0, g is the product itself and the
+    score is top exactly, or 0 where top is at most noise, with no Taylor
+    expansion.  tally counts as :func:`_laguerre` does, with certificate
+    points, and its "retries" the back-offs.  Raises CertificateViolation
+    when a score cannot be certified.
     """
+    if power == 0:
+        top = mu[:, -1]
+        return np.where(top > noise, top, 0.0)
     scores = np.zeros(mu.shape[0])
     live, top, deg, b = _live_rows(mu, power, noise)
     if not live.size:
@@ -351,7 +352,9 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
 def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=None) -> np.ndarray:
     """Lower bounds of the scores of the ascending spectra in the rows of mu,
     as :func:`_root_scores` defines them, with no certificate pass: top / cap
-    for the cap of :func:`_laguerre`."""
+    for the cap of :func:`_laguerre`, or the exact scores at power 0."""
+    if power == 0:
+        return _root_scores(mu, power, eps, noise)
     floors = np.zeros(mu.shape[0])
     live, top, deg, b = _live_rows(mu, power, noise)
     if live.size:
@@ -359,11 +362,11 @@ def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=No
     return floors
 
 
-def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np.ndarray:
+def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
     """Certified lower ends of the spectra of the downdated matrices of
     :func:`_downdated`, ascending as eigvalsh gives them, each lowered by
-    twice noise and clipped at 0, without forming those matrices.  basis is
-    eigh(b), taken here when not given.
+    twice noise and clipped at 0, without forming those matrices, from
+    basis = (lam, V) = eigh(b).
 
     The downdated spectrum is 0 (the direction u) and mu_1 .. mu_r-1, which
     interlace the spectrum lam of b: mu_i in [lam_i, lam_i+1].  Inside that
@@ -379,7 +382,7 @@ def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np
     exact path, deflated or not.  Intervals narrower than noise are not
     refined.
     """
-    lam, vecs = np.linalg.eigh(b) if basis is None else basis
+    lam, vecs = basis
     r, n = lam.size, u.shape[0]
     z = u @ vecs
     w = z * z / np.einsum("ij,ij->i", u, u)[:, None]
@@ -410,16 +413,12 @@ def _lower_spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np
     return lower
 
 
-def _basis(state: SelectionState, b: np.ndarray):
-    """eigh(b), for b = state's E E^T, when exact scoring deflates; None
-    otherwise.  It deflates when the carried spectrum state.spec holds a
-    cluster, two values within _CLUSTER_WIDTH * noise, and noise is at
-    least _DEFLATION_ULPS rounding units of its top value: an O(r) check."""
-    spec = state.spec
-    if (spec.size > 1 and state.noise >= _DEFLATION_ULPS * MACHINE_EPS * spec[-1]
-            and (spec[1:] - spec[:-1]).min() <= _CLUSTER_WIDTH * state.noise):
-        return np.linalg.eigh(b)
-    return None
+def _clustered(lam: np.ndarray, noise: float) -> bool:
+    """Whether exact scoring deflates for eigh's ascending eigenvalues lam of
+    b: two of them lie within _CLUSTER_WIDTH * noise, and noise is at least
+    _DEFLATION_ULPS rounding units of the top one."""
+    return bool(lam.size > 1 and noise >= _DEFLATION_ULPS * MACHINE_EPS * lam[-1]
+                and (lam[1:] - lam[:-1]).min() <= _CLUSTER_WIDTH * noise)
 
 
 def _deflated(lam: np.ndarray, vecs: np.ndarray, u: np.ndarray, width: float) -> np.ndarray:
@@ -458,17 +457,17 @@ def _deflated(lam: np.ndarray, vecs: np.ndarray, u: np.ndarray, width: float) ->
     return mu
 
 
-def _spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np.ndarray:
+def _spectra(b: np.ndarray, u: np.ndarray, noise: float, basis) -> np.ndarray:
     """Ascending spectra, clipped at 0, of the downdated matrices of
-    :func:`_downdated` for the rows of u: by :func:`_deflated` when basis
-    (eigh(b), see :func:`_basis`) is given, else by stacked eigvalsh over
-    index-ordered blocks of candidates.
+    :func:`_downdated` for the rows of u: by :func:`_deflated` when the
+    eigenvalues of basis = eigh(b) are :func:`_clustered`, else by stacked
+    eigvalsh over index-ordered blocks of candidates.
 
     The deflated spectra differ from the exact ones by at most the cluster
     width, noise / 4, plus eigh's backward error, which is of the order of
     the downdate and eigvalsh errors of the other route; the bracket's
     widening by twice noise sets one noise aside for either."""
-    if basis is not None:
+    if _clustered(basis[0], noise):
         eigs = _deflated(*basis, u, _CLUSTER_WIDTH * noise)
     else:
         step = max(1, _BLOCK_BYTES // (8 * b.size))
@@ -479,20 +478,16 @@ def _spectra(b: np.ndarray, u: np.ndarray, noise: float, basis=None) -> np.ndarr
 
 
 def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            b: np.ndarray | None = None, tally=None, basis=None, spectra=None) -> np.ndarray:
+            b: np.ndarray | None = None, basis=None, tally=None) -> np.ndarray:
     """Certified scores, on state's scale, of the candidates whose directions
     are the rows of u, in row order: the eps-approximate largest root of the
     operator power of each candidate's residual characteristic polynomial.
-    b is state's E E^T and basis its :func:`_basis`, both formed here when b
-    is not given; tally counts as :func:`_root_scores` does; a list spectra,
-    when given, gets the candidates' :func:`_spectra` appended."""
+    b is state's E E^T and basis its eigh, both formed here when b is not
+    given; tally counts as :func:`_root_scores` does."""
     if b is None:
         b = state.e @ state.e.T
-        basis = _basis(state, b)
-    mu = _spectra(b, u, state.noise, basis)
-    if spectra is not None:
-        spectra.append(mu)
-    return _root_scores(mu, power, eps, state.noise, tally)
+        basis = np.linalg.eigh(b)
+    return _root_scores(_spectra(b, u, state.noise, basis), power, eps, state.noise, tally)
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -520,19 +515,12 @@ def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_
 def _advance(state: SelectionState, j: int) -> None:
     """Select column j: reflect its direction u onto the first axis with a
     Householder reflector H and keep rows 1.. of H e.  Row 0 of H e is
-    +-(u/|u|)^T e, so dropping it projects e off u, and e loses one row.
-    The carried spectrum is the one :func:`_pick` left for j, and is taken
-    afresh for a column picked otherwise."""
+    +-(u/|u|)^T e, so dropping it projects e off u, and e loses one row."""
     e = state.e
     v = e[:, j].copy()
     v[0] += np.copysign(np.sqrt(v @ v), v[0])
     state.e = e[1:] - np.outer(v[1:], (v @ e) * (2.0 / (v @ v)))
     state.chosen.append(j)
-    col, spec = state.next_spec or (-1, None)
-    state.next_spec = None
-    if col != j:
-        spec = np.maximum(np.linalg.eigvalsh(state.e @ state.e.T), 0.0)
-    state.spec = spec
 
 
 def _margin(score: float, eps: float, tie: float) -> float:
@@ -550,8 +538,7 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
     candidate with the least certified lower bound is scored exactly first,
     and then, in one call, every other candidate whose bound is within
     :func:`_margin` of that score; no other candidate can tie the minimum.
-    The winner's downdated spectrum, without its direction's zero, is left
-    in state.next_spec for :func:`_advance`.
+    One eigh(B) serves the bracket pass and every :func:`_spectra` call.
     """
     cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
     u = state.e[:, cands].T
@@ -562,33 +549,24 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
     cands, u = cands[admissible], u[admissible]
     count = cands.size
     b = state.e @ state.e.T
-    basis = _basis(state, b)
+    basis = np.linalg.eigh(b)
     tally = Counter()
     scores = np.full(count, np.inf)  # inf: not scored
     todo = np.ones(count, dtype=bool)
-    first = -1
-    spectra = []  # of the candidates of each _scores call
     if not state.tied and count > _BLOCK_BYTES // (8 * b.size):
-        floors = _score_floors(_lower_spectra(b, u, state.noise, basis), power, eps, state.noise,
-                               tally)
+        floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise, tally)
         first = int(np.argmin(floors))
-        best = scores[first] = float(
-            _scores(state, u[first : first + 1], power, eps, b, tally, basis, spectra)[0])
+        best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, b, basis,
+                                             tally)[0])
         todo = floors <= best + _margin(best, eps, tie)
         todo[first] = False
     if todo.any():
-        scores[todo] = _scores(state, u[todo], power, eps, b, tally, basis, spectra)
+        scores[todo] = _scores(state, u[todo], power, eps, b, basis, tally)
     keep = scores < np.inf
     cands, scores = cands[keep], scores[keep]
     low = float(scores.min())
     state.tied = bool(cands.size == count and scores.max() <= low + _margin(low, eps, tie))
     pos = int(np.argmax(scores <= low + tie))
-    if first < 0:  # one _scores call for every candidate
-        mu = spectra[0][pos]
-    else:
-        win = int(np.flatnonzero(keep)[pos])  # among the admissible candidates
-        mu = spectra[0][0] if win == first else spectra[1][np.count_nonzero(todo[:win])]
-    state.next_spec = (int(cands[pos]), mu[1:].copy())
     stats = IterationStats(count, cands.size, tally["steps"], tally["retries"])
     return int(cands[pos]), float(scores[pos]), stats
 

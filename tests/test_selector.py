@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -597,6 +599,33 @@ class TestProductFormScores:
             assert abs(value - ref) <= max(eps, 64 * MACHINE_EPS * ref)
 
 
+def _refused(*args):
+    raise AssertionError("Taylor expansion ran")
+
+
+class TestPowerZeroScores:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        ratio=st.sampled_from([0.5, 1.0, 2.0]),
+        kind=st.sampled_from(["gauss", "deficient", "cluster", "hard", "scaled8", "scaled100"]),
+        seed=st.integers(0, 2**16),
+        picked=st.integers(0, 19),
+    )
+    def test_top_entry_without_expansion(self, n, ratio, kind, seed, picked):
+        # the 0-th polar image is the characteristic polynomial itself, so
+        # a score and its floor are the top entry, or 0 at the noise level
+        mu, noise, _ = _spectra(n, ratio, kind, seed, picked)
+        want = np.where(mu[:, -1] > noise, mu[:, -1], 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selector_mod, "_taylor", _refused)
+            for scorer in (selector_mod._root_scores, selector_mod._score_floors):
+                tally = Counter()
+                got = scorer(mu, 0, 1e-9, noise, tally)
+                assert got.tobytes() == want.tobytes()
+                assert tally["steps"] == tally["retries"] == 0
+
+
 def _bracket_input(kind, n, d, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     if kind == "deficient":
@@ -656,8 +685,11 @@ class TestDeflation:
         state = _walk(_clustered_input(kind, n, d, seed), picked, seed)
         u = _admissible(state)
         b = state.e @ state.e.T
-        assert state.noise >= selector_mod._DEFLATION_ULPS * MACHINE_EPS * state.spec[-1]
-        got = selector_mod._spectra(b, u, state.noise, np.linalg.eigh(b))
+        lam, vecs = np.linalg.eigh(b)
+        assert state.noise >= selector_mod._DEFLATION_ULPS * MACHINE_EPS * lam[-1]
+        # deflated whether or not _spectra would take that route here
+        got = selector_mod._deflated(lam, vecs, u, selector_mod._CLUSTER_WIDTH * state.noise)
+        np.maximum(got, 0.0, out=got)
         want = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
         assert np.max(np.abs(got - want)) <= state.noise
 
@@ -678,6 +710,14 @@ class TestDeflation:
 
 
 class TestNoOverflow:
+    @pytest.mark.parametrize("f", [1.0, 1e-150, 1e-155, 1e-158])
+    def test_noise_level_does_not_underflow(self, f):
+        # formed on the rescaled spectrum, the noise level keeps its value
+        # on tiny inputs
+        state = initial_state(random_gaussian(6, 8, 3) * f)
+        assert state.noise > 0.0
+        assert state.noise == state.e.shape[0] * MACHINE_EPS * (state.eigs[0] / state.scale)
+
     @pytest.mark.parametrize("f", [1.0, 1e-150])
     def test_eps_is_capped_where_it_saturates(self, f):
         # a quarter of the cap already saturates every use of eps, so the
@@ -708,13 +748,14 @@ class TestBracketPass:
             state = _walk(_bracket_input(kind, n, d, seed), picked, seed)
             u = _admissible(state)
             b = state.e @ state.e.T
-            lower = selector_mod._lower_spectra(b, u, state.noise)
+            basis = np.linalg.eigh(b)
+            lower = selector_mod._lower_spectra(u, state.noise, basis)
         finally:
             if block is not None:
                 selector_mod._BLOCK_BYTES = saved
         mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
-        # the exact path's spectra: deflated when the state holds a cluster
-        used = selector_mod._spectra(b, u, state.noise, selector_mod._basis(state, b))
+        # the exact path's spectra: deflated when eigh(b) holds a cluster
+        used = selector_mod._spectra(b, u, state.noise, basis)
         assert lower.shape == mu.shape == used.shape
         assert np.all(lower <= mu)
         assert np.all(lower <= used)
@@ -730,7 +771,7 @@ class TestBracketPass:
         # the sign tests lift most lower ends above the interlacing bound
         state = initial_state(random_gaussian(40, 80, 7))
         b = state.e @ state.e.T
-        lower = selector_mod._lower_spectra(b, state.e.T, state.noise)
+        lower = selector_mod._lower_spectra(state.e.T, state.noise, np.linalg.eigh(b))
         lam = np.linalg.eigvalsh(b)
         assert np.mean(lower[:, 1:] > lam[:-1] + 2.0 * state.noise) > 0.5
 
@@ -794,14 +835,14 @@ class TestSelectionStats:
     def test_wide_counters(self):
         result = select(random_gaussian(40, 80, 7), 20)
         assert [s.steps for s in result.stats] == [
-            11, 11, 11, 17, 17, 17, 17, 11, 11, 17, 17, 10, 9, 14, 9, 9, 9, 9, 4, 2,
+            11, 11, 11, 17, 17, 17, 17, 11, 11, 17, 17, 10, 9, 14, 9, 9, 9, 9, 4, 0,
         ]
         assert [s.retries for s in result.stats] == [0] * 20
 
     def test_hard_instance_counters(self):
         perm = np.random.Generator(np.random.Philox(7)).permutation(48)
         result = select(hard_instance(48, 1.0)[:, perm], 24)
-        assert [s.steps for s in result.stats] == [8] + [3] * 22 + [2]
+        assert [s.steps for s in result.stats] == [8] + [3] * 22 + [0]
         assert [s.retries for s in result.stats] == [0] * 24
 
     def test_steps_count_taylor_expansions(self, monkeypatch):
@@ -825,29 +866,49 @@ class TestSelectionStats:
         assert sum(s.retries for s in result.stats) > 0
 
     def test_deflation_runs_only_on_clustered_spectra(self, monkeypatch):
+        # the deflated route runs exactly when the eigenvalues of the state's
+        # B = E E^T, from eigh, are clustered: in select's iterations, in
+        # candidate_score, and on states advanced by hand on columns that
+        # _pick did not choose
         pick, deflated = selector_mod._pick, selector_mod._deflated
-
-        def refused(*args):
-            raise AssertionError("deflation ran")
-
-        monkeypatch.setattr(selector_mod, "_deflated", refused)
-        select(random_gaussian(40, 80, 7), 20)
-        select(power_law(64, 64, 64, 2.0, 1.0, 7), 52)
-        calls = []
-
-        def tracked(*args):
-            calls.append(0)
-            return pick(*args)
+        calls, routes = [0], []
 
         def counted(*args):
-            calls[-1] += 1
+            calls[0] += 1
             return deflated(*args)
 
-        monkeypatch.setattr(selector_mod, "_pick", tracked)
+        def checked(call, state, *args):
+            clustered = selector_mod._clustered(np.linalg.eigh(state.e @ state.e.T)[0], state.noise)
+            calls[0] = 0
+            out = call(state, *args)
+            assert (calls[0] > 0) == clustered
+            routes.append(clustered)
+            return out
+
         monkeypatch.setattr(selector_mod, "_deflated", counted)
+        monkeypatch.setattr(selector_mod, "_pick", lambda *args: checked(pick, *args))
+        select(random_gaussian(40, 80, 7), 20)
+        select(power_law(64, 64, 64, 2.0, 1.0, 7), 52)
+        assert routes == [False] * 72
+        routes.clear()
         perm = np.random.Generator(np.random.Philox(7)).permutation(48)
         select(hard_instance(48, 1.0)[:, perm], 24)
-        assert len(calls) == 24 and all(calls)
+        assert routes == [True] * 24
+        routes.clear()
+        for a in (hard_instance(24, 1.0)[:, np.random.Generator(np.random.Philox(3)).permutation(24)],
+                  power_law(20, 20, 8, 2.0, 1.0, 3), random_gaussian(12, 30, 2)):
+            state = initial_state(a)
+            rank = state.eigs.size
+            eps = 1e-9 / state.scale
+            tie = selector_mod._TIE_ULPS * MACHINE_EPS * max(1.0, state.eigs[0] / state.scale)
+            for _ in range(4):
+                cands = np.delete(np.arange(a.shape[1]), state.chosen)
+                cands = cands[np.linalg.norm(state.e[:, cands], axis=0) > state.tol]
+                checked(candidate_score, state, int(cands[0]), rank)
+                state.tied = False
+                won = checked(pick, state, rank - state.iteration - 1, eps, tie)[0]
+                selector_mod._advance(state, int(cands[-1] if cands[-1] != won else cands[-2]))
+        assert True in routes and False in routes
 
     def test_corpus_matrix_skips_the_bracket_pass(self, monkeypatch):
         def refused(*args):
