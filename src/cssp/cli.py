@@ -179,6 +179,7 @@ def _cmd_select(args) -> int:
 def _cmd_bound(args) -> int:
     matrix, source = _get_matrix(args)
     info = spectrum_of(matrix)
+    _check_rank(args.k, info.t)
     bnd = residual_bound(info, args.k)
     report = _base_report("bound", source, args)
     report.update(

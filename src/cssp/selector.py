@@ -19,7 +19,7 @@ candidate's downdated spectrum interlaces the spectrum of B = E E^T, and
 the sign of the secular function at grid points inside each interval,
 beyond its rounding bound, certifies a lower end of each eigenvalue; the
 ends are widened by twice the noise level, for eigh's backward error and
-the exact path's.  The score increases with every eigenvalue, so the cap
+exact scoring's.  The score increases with every eigenvalue, so the cap
 on the lower ends bounds it from below.  The candidate with the least
 bound is scored exactly, then the others whose bound is within the tie
 margin plus twice the score tolerance of that score; the winner, its root
@@ -28,12 +28,12 @@ is skipped when all candidate matrices fit in one eigvalsh block, and
 after a fully scored iteration in which every candidate tied within that
 margin, where nothing can be pruned.
 
-Each iteration takes one eigh(B), which serves the bracket pass and
-decides the route of exact scoring: each candidate's downdated spectrum is
-one stacked eigvalsh of r x r matrices, unless the eigenvalues of B hold a
-cluster; then a deflation leaves each candidate one c x c problem, c the
-number of clusters (two on the hard instance, where nothing is pruned).  At
-power 0 a score is its spectrum's top entry, with no root to seek.
+Each iteration takes one eigh(B), which serves the bracket pass and exact
+scoring.  In B's eigenbasis, with each cluster of eigenvalues deflated,
+every candidate's downdated spectrum is one c x c eigvalsh, c the number
+of clusters: r where the eigenvalues are apart, two on the hard instance,
+where nothing is pruned.  At power 0 a score is its spectrum's top entry,
+with no root to seek.
 """
 
 from __future__ import annotations
@@ -74,12 +74,10 @@ _CERTIFICATE_RETRIES = 3
 _GRID = 15
 
 # Eigenvalues of E E^T within this fraction of the spectrum noise level of
-# each other form a cluster that exact scoring deflates (see _deflated),
-# where the noise level is at least _DEFLATION_ULPS rounding units of the
-# top eigenvalue: eigh's backward error, a few such units, and the cluster
-# width then stay well within the noise level that the bracket sets aside.
+# each other form a cluster that exact scoring deflates (see _spectra): the
+# cluster width and the backward errors of eigh and eigvalsh stay within
+# the twice noise that the bracket sets aside.
 _CLUSTER_WIDTH = 0.25
-_DEFLATION_ULPS = 16.0
 
 
 @dataclass
@@ -173,22 +171,18 @@ def _scaled_eps(state: SelectionState, eps) -> float:
     return eps
 
 
-def _downdated(b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The matrix b = E E^T after selecting each column whose direction
-    (a column of E) is a row of u, that is after projecting E off u: one
-    rank-one update per row, stacked.  Exactly symmetric when b is.  numpy
-    rounds a product over many or strided rows unlike a one-row product, so
-    u b is formed one contiguous row at a time: a row's result does not
-    depend on the rows stacked with it."""
-    u = np.ascontiguousarray(u)
-    nu2 = np.einsum("ij,ij->i", u, u)[:, None, None]
-    w = (u[:, None, :] @ b)[:, 0]
-    s = np.einsum("ij,ij->i", u, w)[:, None, None]
-    out = u[:, :, None] * w[:, None, :]
+def _downdated(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The matrices P diag(lam) P, P = I - z z^T / |z|^2, for the rows z of
+    z, stacked: diag(lam) after projecting off each row, by one rank-one
+    update each.  Exactly symmetric."""
+    nu2 = np.einsum("ij,ij->i", z, z)[:, None, None]
+    w = z * lam
+    s = np.einsum("ij,ij->i", z, w)[:, None, None]
+    out = z[:, :, None] * w[:, None, :]
     out += out.transpose(0, 2, 1)
-    out -= (s / nu2) * (u[:, :, None] * u[:, None, :])
+    out -= (s / nu2) * (z[:, :, None] * z[:, None, :])
     out /= -nu2
-    out += b
+    out.reshape(out.shape[0], -1)[:, :: lam.size + 1] += lam  # the diagonals
     return out
 
 
@@ -363,10 +357,9 @@ def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=No
 
 
 def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
-    """Certified lower ends of the spectra of the downdated matrices of
-    :func:`_downdated`, ascending as eigvalsh gives them, each lowered by
-    twice noise and clipped at 0, without forming those matrices, from
-    basis = (lam, V) = eigh(b).
+    """Certified lower ends of the downdated spectra of :func:`_spectra`,
+    ascending, each lowered by twice noise and clipped at 0, without
+    forming the downdated matrices, from basis = (lam, V) = eigh(b).
 
     The downdated spectrum is 0 (the direction u) and mu_1 .. mu_r-1, which
     interlace the spectrum lam of b: mu_i in [lam_i, lam_i+1].  Inside that
@@ -378,9 +371,8 @@ def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
     the whole grid is one product w @ K, K[j, m] = near_m / (lam_j - x_m),
     near_m the distance from x_m to the nearer end, so |K| <= 1 and a value
     within (r + 10) ulps of 0 certifies no sign.  The widening covers the
-    backward errors of eigh here and of the downdate and eigvalsh of the
-    exact path, deflated or not.  Intervals narrower than noise are not
-    refined.
+    backward error of eigh here and the cluster width and eigvalsh error of
+    the exact path.  Intervals narrower than noise are not refined.
     """
     lam, vecs = basis
     r, n = lam.size, u.shape[0]
@@ -413,81 +405,63 @@ def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
     return lower
 
 
-def _clustered(lam: np.ndarray, noise: float) -> bool:
-    """Whether exact scoring deflates for eigh's ascending eigenvalues lam of
-    b: two of them lie within _CLUSTER_WIDTH * noise, and noise is at least
-    _DEFLATION_ULPS rounding units of the top one."""
-    return bool(lam.size > 1 and noise >= _DEFLATION_ULPS * MACHINE_EPS * lam[-1]
-                and (lam[1:] - lam[:-1]).min() <= _CLUSTER_WIDTH * noise)
+def _spectra(basis, u: np.ndarray, noise: float) -> np.ndarray:
+    """Ascending spectra, clipped at 0, of B = E E^T after selecting each
+    column whose direction (a column of E) is a row of u, that is after
+    projecting E off u, from basis = (lam, V) = eigh(B), by the deflation
+    step of rank-one eigenvalue updates (Bunch, Nielsen and Sorensen, Numer.
+    Math. 1978).
 
+    In B's eigenbasis the downdate projects diag(lam) off z = V^T u.  lam,
+    ascending, is cut into clusters from the bottom, each at most
+    _CLUSTER_WIDTH * noise from its least to its greatest value, and each
+    cluster's values are replaced by their mean lam_c, which moves B by at
+    most that width; the mean keeps the trace, so eigh's errors over a
+    cluster do not add up.  In a cluster of m values, the m - 1 directions
+    of its eigenspace that are orthogonal to u keep lam_c after the
+    downdate; what is left is the c x c :func:`_downdated` of lam_c off
+    zeta, the norms of z over the c clusters.  So each candidate's spectrum
+    is eigvalsh of one c x c matrix and each lam_c repeated m - 1 times;
+    where every cluster is one value, c = r and zeta = z.  numpy rounds a
+    product over many rows unlike a one-row product, so z is formed one row
+    at a time: a row's result does not depend on the rows stacked with it.
 
-def _deflated(lam: np.ndarray, vecs: np.ndarray, u: np.ndarray, width: float) -> np.ndarray:
-    """Ascending spectra of the downdated matrices of :func:`_downdated` for
-    b = V diag(lam) V^T (eigh's lam, vecs), by the deflation step of rank-one
-    eigenvalue updates (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
-
-    lam, ascending, is cut into clusters from the bottom, each at most width
-    from its least to its greatest value, and each cluster's values are
-    replaced by their mean lam_c, which moves b by at most width; the mean
-    keeps the trace, so eigh's errors over a cluster do not add up.  In a
-    cluster of m values, the m - 1 directions of its eigenspace that
-    are orthogonal to u keep lam_c after the downdate; what is left is the
-    c x c matrix P diag(lam_c) P, P = I - zeta zeta^T / |zeta|^2, zeta the
-    norms of z = V^T u over the c clusters.  So each candidate's spectrum is
-    eigvalsh of one c x c matrix and each lam_c repeated m - 1 times.  Rows
-    are formed one at a time, as in :func:`_downdated`, so a row's result
-    does not depend on the rows stacked with it."""
+    The spectra differ from the exact ones by at most the cluster width plus
+    the backward errors of eigh and eigvalsh; the bracket's widening by
+    twice noise covers them."""
+    lam, vecs = basis
+    vals, width = lam.tolist(), _CLUSTER_WIDTH * noise
     starts = [0]
-    for i in range(1, lam.size):
-        if lam[i] - lam[starts[-1]] > width:
+    for i in range(1, len(vals)):
+        if vals[i] - vals[starts[-1]] > width:
             starts.append(i)
-    starts = np.array(starts)
-    sizes = np.diff(np.append(starts, lam.size))
-    lam_c = np.add.reduceat(lam, starts) / sizes
-    u = np.ascontiguousarray(u)
-    z = (u[:, None, :] @ vecs)[:, 0]
-    zeta = np.sqrt(np.add.reduceat(z * z, starts, axis=1))
-    d = np.diag(lam_c)
-    step = max(1, _BLOCK_BYTES // (8 * d.size))
-    small = [np.linalg.eigvalsh(_downdated(d, zeta[first : first + step]))
-             for first in range(0, u.shape[0], step)]
-    kept = np.broadcast_to(np.repeat(lam_c, sizes - 1), (u.shape[0], lam.size - lam_c.size))
-    mu = np.concatenate([np.concatenate(small), kept], axis=1)
-    mu.sort(axis=1)
+    z = (np.ascontiguousarray(u)[:, None, :] @ vecs)[:, 0]
+    lam_c, zeta, kept = lam, z, lam[:0]
+    if len(starts) < lam.size:
+        sizes = np.diff(starts + [lam.size])
+        lam_c = np.add.reduceat(lam, starts) / sizes
+        zeta = np.sqrt(np.add.reduceat(z * z, starts, axis=1))
+        kept = np.repeat(lam_c, sizes - 1)
+    step = max(1, _BLOCK_BYTES // (8 * lam_c.size**2))
+    mu = np.concatenate([np.linalg.eigvalsh(_downdated(lam_c, zeta[first : first + step]))
+                         for first in range(0, u.shape[0], step)])
+    if kept.size:
+        mu = np.concatenate([mu, np.broadcast_to(kept, (u.shape[0], kept.size))], axis=1)
+        mu.sort(axis=1)
+    np.maximum(mu, 0.0, out=mu)
     return mu
 
 
-def _spectra(b: np.ndarray, u: np.ndarray, noise: float, basis) -> np.ndarray:
-    """Ascending spectra, clipped at 0, of the downdated matrices of
-    :func:`_downdated` for the rows of u: by :func:`_deflated` when the
-    eigenvalues of basis = eigh(b) are :func:`_clustered`, else by stacked
-    eigvalsh over index-ordered blocks of candidates.
-
-    The deflated spectra differ from the exact ones by at most the cluster
-    width, noise / 4, plus eigh's backward error, which is of the order of
-    the downdate and eigvalsh errors of the other route; the bracket's
-    widening by twice noise sets one noise aside for either."""
-    if _clustered(basis[0], noise):
-        eigs = _deflated(*basis, u, _CLUSTER_WIDTH * noise)
-    else:
-        step = max(1, _BLOCK_BYTES // (8 * b.size))
-        eigs = np.concatenate([np.linalg.eigvalsh(_downdated(b, u[first : first + step]))
-                               for first in range(0, u.shape[0], step)])
-    np.maximum(eigs, 0.0, out=eigs)
-    return eigs
-
-
 def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            b: np.ndarray | None = None, basis=None, tally=None) -> np.ndarray:
+            basis=None, tally=None) -> np.ndarray:
     """Certified scores, on state's scale, of the candidates whose directions
     are the rows of u, in row order: the eps-approximate largest root of the
     operator power of each candidate's residual characteristic polynomial.
-    b is state's E E^T and basis its eigh, both formed here when b is not
-    given; tally counts as :func:`_root_scores` does."""
-    if b is None:
-        b = state.e @ state.e.T
-        basis = np.linalg.eigh(b)
-    return _root_scores(_spectra(b, u, state.noise, basis), power, eps, state.noise, tally)
+    basis is the eigh of state's E E^T, formed here when not given; tally
+    counts as :func:`_root_scores` does."""
+    if basis is None:
+        basis = np.linalg.eigh(state.e @ state.e.T)
+    return _root_scores(_spectra(basis, u, state.noise), power, eps, state.noise, tally)
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -548,20 +522,19 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
                                       "cannot happen for k <= rank")
     cands, u = cands[admissible], u[admissible]
     count = cands.size
-    b = state.e @ state.e.T
-    basis = np.linalg.eigh(b)
+    basis = np.linalg.eigh(state.e @ state.e.T)
     tally = Counter()
     scores = np.full(count, np.inf)  # inf: not scored
     todo = np.ones(count, dtype=bool)
-    if not state.tied and count > _BLOCK_BYTES // (8 * b.size):
+    if not state.tied and count > _BLOCK_BYTES // (8 * basis[0].size**2):
         floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise, tally)
         first = int(np.argmin(floors))
-        best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, b, basis,
+        best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, basis,
                                              tally)[0])
         todo = floors <= best + _margin(best, eps, tie)
         todo[first] = False
     if todo.any():
-        scores[todo] = _scores(state, u[todo], power, eps, b, basis, tally)
+        scores[todo] = _scores(state, u[todo], power, eps, basis, tally)
     keep = scores < np.inf
     cands, scores = cands[keep], scores[keep]
     low = float(scores.min())

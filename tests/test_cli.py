@@ -221,6 +221,15 @@ class TestBoundCommand:
                          "-k", "2", "--format", "json")
         assert "lower_bound" not in json.loads(out)
 
+    @pytest.mark.parametrize("k", ["-3", "0", "9"])
+    def test_k_outside_rank_rejected(self, capsys, k):
+        # as in select, verify and bench, k must lie in [1, rank]
+        code = main(["bound", "--instance", "random:n=4,d=4,seed=1", "-k", k, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"k={k} outside [1, rank=4]" in captured.err
+
 
 class TestVerifyCommand:
     def test_seeded_instance_passes(self, capsys):

@@ -320,13 +320,13 @@ class TestStateConsistency:
         a, k = hard_instance(24, 1.0)[:, perm], 12
         result = select(a, k)
         calls = []
-        deflated = selector_mod._deflated
+        spectra = selector_mod._spectra
 
         def counted(*args):
-            calls.append(len(args[2]))
-            return deflated(*args)
+            calls.append(len(args[1]))
+            return spectra(*args)
 
-        monkeypatch.setattr(selector_mod, "_deflated", counted)
+        monkeypatch.setattr(selector_mod, "_spectra", counted)
         state = initial_state(a)
         for l, j in enumerate(result.subset[:4]):
             assert candidate_score(state, j, k).value == result.iteration_roots[l].value
@@ -524,6 +524,14 @@ def _mp_first_scores(mpmath, a, power):
         return scores
 
 
+def _projected(b, u):
+    """P b P, P = I - u u^T / |u|^2, for each row u of u, stacked: b = E E^T
+    after selecting the column whose direction is u."""
+    nu2 = np.einsum("ij,ij->i", u, u)[:, None, None]
+    p = np.eye(b.shape[0]) - u[:, :, None] * u[:, None, :] / nu2
+    return p @ b @ p
+
+
 def _spectra(n, ratio, kind, seed, picked):
     """Candidate spectra at one iteration of a selection run, the noise
     level and the rank left, from select's own state: up to picked random
@@ -549,7 +557,7 @@ def _spectra(n, ratio, kind, seed, picked):
             selector_mod._advance(state, int(j))
     u = state.e.T
     u = u[np.linalg.norm(u, axis=1) > state.tol]
-    mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(state.e @ state.e.T, u)), 0.0)
+    mu = np.maximum(np.linalg.eigvalsh(_projected(state.e @ state.e.T, u)), 0.0)
     return mu, state.noise, state.eigs.size - state.iteration
 
 
@@ -679,18 +687,12 @@ class TestDeflation:
     )
     def test_spectra_within_noise(self, kind, n, d, seed, picked):
         # clusters at most noise / 4 wide, replaced by their means, plus
-        # eigh's backward error stay within the noise level where it is at
-        # least 16 ulps of the top eigenvalue, as it is when E starts with
-        # more than 16 rows
+        # eigh's backward error stay within the noise level
         state = _walk(_clustered_input(kind, n, d, seed), picked, seed)
         u = _admissible(state)
         b = state.e @ state.e.T
-        lam, vecs = np.linalg.eigh(b)
-        assert state.noise >= selector_mod._DEFLATION_ULPS * MACHINE_EPS * lam[-1]
-        # deflated whether or not _spectra would take that route here
-        got = selector_mod._deflated(lam, vecs, u, selector_mod._CLUSTER_WIDTH * state.noise)
-        np.maximum(got, 0.0, out=got)
-        want = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
+        got = selector_mod._spectra(np.linalg.eigh(b), u, state.noise)
+        want = np.maximum(np.linalg.eigvalsh(_projected(b, u)), 0.0)
         assert np.max(np.abs(got - want)) <= state.noise
 
     def test_clusters_shrink_the_eigen_problems(self, monkeypatch):
@@ -707,6 +709,41 @@ class TestDeflation:
         perm = np.random.Generator(np.random.Philox(29)).permutation(48)
         select(hard_instance(48, 1.0)[:, perm], 24)
         assert set(sizes) == {2}
+
+
+def _small_input(kind, n, d, seed):
+    """A permuted hard instance, a low-rank power law, a rank-deficient
+    product or a Gaussian."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rank = int(rng.integers(1, min(n, d)))
+    if kind == "hard":
+        return hard_instance(d, float(rng.uniform(0.1, 3.0)))[:, rng.permutation(d)]
+    if kind == "low-rank":
+        return power_law(n, d, rank, float(rng.uniform(0.5, 3.0)), 1.0, seed)
+    if kind == "deficient":
+        return _rank_deficient(n, d, rank, seed)
+    return random_gaussian(n, d, seed)
+
+
+class TestStructuralZeros:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["hard", "low-rank", "deficient", "gauss"]),
+        n=st.integers(2, 12),
+        d=st.integers(2, 12),
+        seed=st.integers(0, 2**16),
+        picked=st.integers(0, 3),
+    )
+    def test_within_noise(self, kind, n, d, seed, picked):
+        # the noise level of a small input is a few ulps of its top
+        # eigenvalue; the min(n, d) - rank + 1 zeros of each downdated
+        # spectrum, eigh's errors and the deflation's included, stay within it
+        a = _small_input(kind, n, d, seed)
+        state = _walk(a, picked, seed)
+        basis = np.linalg.eigh(state.e @ state.e.T)
+        mu = selector_mod._spectra(basis, _admissible(state), state.noise)
+        zeros = min(a.shape) - state.eigs.size + 1
+        assert np.all(mu[:, :zeros] <= state.noise)
 
 
 class TestNoOverflow:
@@ -753,9 +790,9 @@ class TestBracketPass:
         finally:
             if block is not None:
                 selector_mod._BLOCK_BYTES = saved
-        mu = np.maximum(np.linalg.eigvalsh(selector_mod._downdated(b, u)), 0.0)
-        # the exact path's spectra: deflated when eigh(b) holds a cluster
-        used = selector_mod._spectra(b, u, state.noise, basis)
+        mu = np.maximum(np.linalg.eigvalsh(_projected(b, u)), 0.0)
+        # the exact path's spectra, clusters of eigh(b) deflated
+        used = selector_mod._spectra(basis, u, state.noise)
         assert lower.shape == mu.shape == used.shape
         assert np.all(lower <= mu)
         assert np.all(lower <= used)
@@ -865,35 +902,39 @@ class TestSelectionStats:
         assert calls[1:] == [s.steps for s in result.stats]
         assert sum(s.retries for s in result.stats) > 0
 
-    def test_deflation_runs_only_on_clustered_spectra(self, monkeypatch):
-        # the deflated route runs exactly when the eigenvalues of the state's
-        # B = E E^T, from eigh, are clustered: in select's iterations, in
+    def test_eigen_problems_are_cluster_sized(self, monkeypatch):
+        # every eigvalsh of exact scoring is c x c, c the number of clusters
+        # noise / 4 wide of eigh(B), B = E E^T: in select's iterations, in
         # candidate_score, and on states advanced by hand on columns that
         # _pick did not choose
-        pick, deflated = selector_mod._pick, selector_mod._deflated
-        calls, routes = [0], []
+        pick, eigvalsh = selector_mod._pick, np.linalg.eigvalsh
+        sizes, routes = [], []
 
-        def counted(*args):
-            calls[0] += 1
-            return deflated(*args)
+        def recorded(m):
+            sizes.append(m.shape[-2:])
+            return eigvalsh(m)
 
         def checked(call, state, *args):
-            clustered = selector_mod._clustered(np.linalg.eigh(state.e @ state.e.T)[0], state.noise)
-            calls[0] = 0
+            lam = np.linalg.eigh(state.e @ state.e.T)[0]
+            c, start = 1, lam[0]
+            for v in lam[1:]:
+                if v - start > state.noise / 4.0:
+                    c, start = c + 1, v
+            sizes.clear()
             out = call(state, *args)
-            assert (calls[0] > 0) == clustered
-            routes.append(clustered)
+            assert sizes and set(sizes) == {(c, c)}
+            routes.append((c, lam.size))
             return out
 
-        monkeypatch.setattr(selector_mod, "_deflated", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         monkeypatch.setattr(selector_mod, "_pick", lambda *args: checked(pick, *args))
         select(random_gaussian(40, 80, 7), 20)
         select(power_law(64, 64, 64, 2.0, 1.0, 7), 52)
-        assert routes == [False] * 72
+        assert len(routes) == 72 and all(c == r for c, r in routes)
         routes.clear()
         perm = np.random.Generator(np.random.Philox(7)).permutation(48)
         select(hard_instance(48, 1.0)[:, perm], 24)
-        assert routes == [True] * 24
+        assert [c for c, _ in routes] == [2] * 24
         routes.clear()
         for a in (hard_instance(24, 1.0)[:, np.random.Generator(np.random.Philox(3)).permutation(24)],
                   power_law(20, 20, 8, 2.0, 1.0, 3), random_gaussian(12, 30, 2)):
@@ -908,7 +949,7 @@ class TestSelectionStats:
                 state.tied = False
                 won = checked(pick, state, rank - state.iteration - 1, eps, tie)[0]
                 selector_mod._advance(state, int(cands[-1] if cands[-1] != won else cands[-2]))
-        assert True in routes and False in routes
+        assert any(c < r for c, r in routes) and any(c == r for c, r in routes)
 
     def test_corpus_matrix_skips_the_bracket_pass(self, monkeypatch):
         def refused(*args):
