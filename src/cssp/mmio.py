@@ -114,6 +114,7 @@ def _load_matrix_market(lines, first_line: str) -> np.ndarray:
         _fail("symmetric storage needs a square matrix", lineno, size_line)
     out = np.zeros((n_rows, n_cols))
     seen = 0
+    first = {}  # the line of each position's entry
     for lineno, line in stream:
         toks = line.split()
         if len(toks) != 3:
@@ -123,6 +124,11 @@ def _load_matrix_market(lines, first_line: str) -> np.ndarray:
         val = _parse_real(toks[2], lineno, line)
         if not (1 <= i <= n_rows and 1 <= j <= n_cols):
             _fail(f"index ({i}, {j}) outside {n_rows} x {n_cols}", lineno, line, toks[0])
+        # under symmetric storage an entry also sets its mirror
+        key = (min(i, j), max(i, j)) if symmetry == "symmetric" else (i, j)
+        if key in first:
+            _fail(f"duplicate entry ({i}, {j}), first given on line {first[key]}", lineno, line, toks[0])
+        first[key] = lineno
         out[i - 1, j - 1] = val
         if symmetry == "symmetric":
             out[j - 1, i - 1] = val

@@ -5,8 +5,9 @@ of the polynomial obtained from the candidate's post-selection
 characteristic polynomial under the polar-type operator, then keeps the
 column with the smallest score.  Scores within a few rounding units of the
 iteration's minimum count as tied, and ties go to the smallest column
-index, so identical inputs always produce identical subsets.  A score
-does not depend on the candidates scored with it.
+index, so identical inputs always produce identical subsets.  Outside
+the bracket pass below, a score does not depend on the candidates scored
+with it.
 
 Scores are found in product form, never from monomial coefficients: by the
 reversal identity a candidate with spectrum mu scores 1/y*, y* the smallest
@@ -27,6 +28,18 @@ and the tie rule are those of scoring every candidate.  The bracket pass
 is skipped when all candidate matrices fit in one eigvalsh block, and
 after a fully scored iteration in which every candidate tied within that
 margin, where nothing can be pruned.
+
+The bracket pass starts every Laguerre run from the score chain.  With
+bound the previous winning score plus 2 eps and the tie margin, and t that
+bound plus the margin above, no candidate scoring at least t can win or
+tie while the chain holds.  One expansion of g at x0 = max(1, top / t)
+counts the roots of g above x0 (Budan-Fourier): where all of them are,
+Laguerre goes on from x0; a row with a root at or below x0 scores at
+least t and is dropped.  Where that expansion costs more than the steps
+it saves, a batch runs from 1, so a score may depend on its batch, within
+its tolerance.  When every candidate is dropped the chain is broken, and
+the iteration is picked again without t, so that the check sees the real
+winning score.
 
 Each iteration takes one eigh(B), which serves the bracket pass and exact
 scoring.  In B's eigenbasis, with each cluster of eigenvalues deflated,
@@ -78,6 +91,24 @@ _GRID = 15
 # cluster width and the backward errors of eigh and eigvalsh stay within
 # the twice noise that the bracket sets aside.
 _CLUSTER_WIDTH = 0.25
+
+# Rounding bound of a Taylor coefficient of _taylor, in eps_mach per column
+# of b, times the sum m of the magnitudes of its terms.  Each factor's two
+# entries carry at most three roundings (forming a_j or b_j h, the normalising
+# division, and b_j x read as moving the root 1/b_j by one ulp), and the
+# product adds two per factor (a multiply and a subtract), so the computed
+# coefficient is within (5 columns + 10) eps_mach m of the exact one, the 10
+# covering second-order terms; one within that of 0 has no certain sign.
+_ROUNDING = 5
+
+# The root count's expansion, two products of the orders power .. n (the
+# coefficients and their sizes), stands for the first Laguerre step and
+# saves about two more, each a product of power + 3 orders.  Each pass of a
+# product costs a fixed numpy overhead worth about this many entries (4 us
+# against 2.5 ns an entry, numpy 2.4 on a 2-core x86 host), so the count
+# runs where its extra entries per pass stay within the overhead of the two
+# passes it saves: on few rows, or where power is large.
+_PASS_ENTRIES = 1600
 
 
 @dataclass
@@ -186,10 +217,16 @@ def _downdated(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _taylor(x: np.ndarray, b: np.ndarray, orders: int) -> tuple[np.ndarray, np.ndarray]:
+def _taylor(x: np.ndarray, b: np.ndarray, orders: int, high: bool = False):
     """Taylor data of prod_j (1 - b_j x) at each row's x, over the rows of b:
     (c, h) with c[:, m], m < orders, the coefficient of s^m in
     prod_j (a_j - b_j h s) / (|a_j| + b_j h), a_j = 1 - b_j x.
+
+    With high, the top orders instead, from the reversed product in w = 1/s,
+    and their sizes: (c, h, m) with c[:, i] the coefficient of
+    s^(n - orders + 1 + i), n the columns of b, and m the same coefficients
+    of prod_j (|a_j| + b_j h s) / (|a_j| + b_j h), the sums of the magnitudes
+    of the terms of each c, which bound its rounding error (see _ROUNDING).
 
     h, the geometric mean of the distances |a_j| / b_j from x to the roots,
     balances the lowest and highest coefficients, so neither underflows
@@ -204,9 +241,13 @@ def _taylor(x: np.ndarray, b: np.ndarray, orders: int) -> tuple[np.ndarray, np.n
     s = np.abs(a) + bh
     a /= s
     bh /= s
+    if high:
+        # each pass below multiplies by a_j - bh_j s; with (-bh_j, -a_j) it
+        # multiplies by a_j w - bh_j, with (bh_j, -|a_j|) by |a_j| w + bh_j
+        a, bh = np.concatenate([-bh, bh]), np.concatenate([-a, -np.abs(a)])
     # orders x rows, so each factor is three in-place passes over contiguous rows
     a, bh = np.ascontiguousarray(a.T), np.ascontiguousarray(bh.T)
-    c = np.zeros((orders, x.size))
+    c = np.zeros((orders, a.shape[1]))
     c[0] = 1.0
     head, tail = c[:-1], c[1:]
     tmp = np.empty_like(head)
@@ -214,12 +255,16 @@ def _taylor(x: np.ndarray, b: np.ndarray, orders: int) -> tuple[np.ndarray, np.n
         np.multiply(bh_j, head, out=tmp)
         np.multiply(c, a_j, out=c)
         np.subtract(tail, tmp, out=tail)
+    if high:
+        c = c[::-1]
+        return c[:, : x.size].T, h, c[:, x.size :].T
     return c.T, h
 
 
-def _root_distances(c: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _root_distances(g: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Laguerre step, S1/S2) from each row's point towards the smallest
-    root of the degree-n g = D^power p, given p's Taylor data c.
+    root of the degree-n g = D^power p, given p's Taylor data g from order
+    power on (g's own, up to positive factors).
 
     With u_i = 1 / (root_i - point), S1 = sum u_i = -g'/g and S2 = sum u_i^2.
     When every root lies above the point, max u_i is at least S2/S1 and, by
@@ -228,7 +273,7 @@ def _root_distances(c: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarra
     dividing by g, so an exact hit (g = 0) gives a zero step, and with the
     larger Laguerre denominator, so a rounding-level g cannot jump a root.
     """
-    data = c[:, power : power + 3]
+    data = g[:, :3]
     big = np.max(np.abs(data), axis=1, keepdims=True)
     g, d1, d2 = np.divide(data, big, out=np.zeros_like(data), where=big > 0.0).T
     slope = (power + 1) * d1
@@ -239,6 +284,20 @@ def _root_distances(c: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarra
     step = np.divide(-n * g, den, out=np.zeros_like(g), where=den != 0.0)
     upper = np.divide(-slope * g, spread, out=np.full_like(g, np.nan), where=spread > 0.0)
     return step, upper
+
+
+def _alternates(g: np.ndarray, n: np.ndarray, slack=None) -> np.ndarray:
+    """Whether the Taylor data g of each row's degree-n polynomial, orders
+    0 .. n, strictly alternate in sign, each beyond its slack when given.
+    The orders are g's derivatives up to positive factors, so for a
+    real-rooted g this is Budan-Fourier's test that every root of g lies
+    above the point."""
+    orders = np.arange(g.shape[1])
+    signs = np.sign(g) * np.sign(g[:, :1]) * (-1.0) ** orders
+    ok = signs == 1.0
+    if slack is not None:
+        ok &= np.abs(g) > slack
+    return np.all(ok | (orders > n[:, None]), axis=1)
 
 
 def _live_rows(mu: np.ndarray, power: int, noise: float):
@@ -259,22 +318,29 @@ def _live_rows(mu: np.ndarray, power: int, noise: float):
 
 
 def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: float,
-              tally=None) -> tuple[np.ndarray, np.ndarray]:
+              tally=None, x=None, taylor=None) -> tuple[np.ndarray, np.ndarray]:
     """(x, cap) with x <= x* <= cap, x* the smallest root of each row's
     g = D^power prod_j (1 - b_j x), in the terms of :func:`_live_rows`.
 
-    Laguerre's method from x = 1 stays below x* and converges to it, so the
-    upper bound of :func:`_root_distances` at every point caps x*.  A row
-    stops once its step or the gap to its least cap is within about eps / 4
-    on the score top / x; the steps needed grow with the input, so no fixed
-    count serves.  A Counter tally, when given, counts the Taylor expansions
-    in tally["steps"]."""
-    x = np.ones(top.size)
+    Laguerre's method from a point below x*, x = 1 unless given, stays below
+    x* and converges to it, so the upper bound of :func:`_root_distances` at
+    every point caps x*.  A row stops once its step or the gap to its least
+    cap is within about eps / 4 on the score top / x; the steps needed grow
+    with the input, so no fixed count serves.  taylor, when given, is
+    (g, h): :func:`_taylor`'s data at the given x, from order power on,
+    taken as the first step.  A Counter tally, when given, counts the Taylor
+    expansions made here in tally["steps"]."""
+    x = np.ones(top.size) if x is None else x.copy()
     cap = np.full(top.size, np.inf)
     todo = np.arange(top.size)
-    for steps in range(1, _LAGUERRE_STEPS + 1):
-        c, h = _taylor(x[todo], b[todo], power + 3)
-        step, upper = _root_distances(c, power, deg[todo])
+    expansions = 0
+    for _ in range(_LAGUERRE_STEPS):
+        if taylor is None:
+            c, h = _taylor(x[todo], b[todo], power + 3)
+            taylor = c[:, power:], h
+            expansions += 1
+        (g, h), taylor = taylor, None
+        step, upper = _root_distances(g, power, deg[todo])
         x_t = x[todo]
         cap[todo] = np.fmin(cap[todo], x_t + h * upper)
         small = np.maximum(eps * x_t * x_t / (4.0 * top[todo]), 8.0 * MACHINE_EPS * x_t)
@@ -284,14 +350,56 @@ def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
         if not todo.size:
             break
     if tally is not None:
-        tally["steps"] += steps
+        tally["steps"] += expansions
     return x, cap
 
 
-def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=None) -> np.ndarray:
+def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: float, t,
+              tally=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(x, cap, drop): the bounds of :func:`_laguerre` on each row's x*,
+    started at x0 = max(1, top / t) where a root count allows, and the rows
+    whose score top / x* is certified at least t, bounded no further.  With
+    t None, or where the count costs more than it saves (_PASS_ENTRIES),
+    Laguerre runs from 1 and drop is None.
+
+    One Taylor expansion at x0, of the orders power and up, which are g's
+    (:func:`_taylor`'s high orders), counts the roots of g above x0 by
+    Budan-Fourier, with each coefficient's sign certain beyond its _ROUNDING
+    bound.  All of them above (:func:`_alternates`): x0 < x*, and the
+    expansion is the first Laguerre step.  Fewer, where two certain signs
+    break the alternation: x* <= x0, so the score is at least top / x0 = t.
+    A row the count cannot decide runs from 1."""
+    orders = b.shape[1] - power + 1
+    if t is None or top.size * (2 * orders - 3 * (power + 3)) > 2 * _PASS_ENTRIES:
+        return *_laguerre(b, power, deg, top, eps, tally), None
+    x0 = np.maximum(1.0, top / t)
+    g, h, sizes = _taylor(x0, b, orders, True)
+    if tally is not None:
+        tally["steps"] += 1
+    slack = (_ROUNDING * b.shape[1] + 10) * MACHINE_EPS * sizes
+    above = _alternates(g, deg, slack)
+    order = np.arange(orders)
+    certain = (np.abs(g) > slack) & (order <= deg[:, None])
+    signs = np.where(certain, np.sign(g) * (-1.0) ** order, 0.0)
+    drop = (signs.max(axis=1) > 0.0) & (signs.min(axis=1) < 0.0)
+    g = np.pad(g, ((0, 0), (0, max(3 - g.shape[1], 0))))  # a linear g: orders above are 0
+    x, cap = np.ones(top.size), np.full(top.size, np.inf)
+    if above.any():
+        x[above], cap[above] = _laguerre(b[above], power, deg[above], top[above], eps, tally,
+                                         x0[above], (g[above], h[above]))
+    rest = ~(above | drop)
+    if rest.any():
+        x[rest], cap[rest] = _laguerre(b[rest], power, deg[rest], top[rest], eps, tally)
+    return x, cap, drop
+
+
+def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=None,
+                 t=None) -> np.ndarray:
     """Scores of the ascending spectra in the rows of mu, entries at most
     noise taken as zero: the largest root of the power-th polar image of
-    prod_j (x - mu_j), certified within max(eps, 64 ulps).
+    prod_j (x - mu_j), certified within max(eps, 64 ulps).  With a bound t,
+    Laguerre starts from :func:`_anchored`'s point, and a row certified to
+    score at least t scores inf.
 
     In x = top * y, b = mu / top, the smallest root x* of g = D^power
     prod_j (1 - b_j x) is at least 1 and the score is top / x*, with x from
@@ -313,22 +421,27 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     if not live.size:
         return scores
 
-    x = _laguerre(b, power, deg, top, eps, tally)[0]
+    x, _, drop = _anchored(b, power, deg, top, eps, t, tally)
     value = top / x
+    todo = np.arange(live.size)
+    if drop is not None:
+        value[drop] = np.inf
+        todo = todo[~drop]
+        if not todo.size:
+            scores[live] = value
+            return scores
     tol = np.maximum(eps, 64.0 * MACHINE_EPS * value)
     back = np.minimum(np.maximum(eps * x * x / top, 16.0 * MACHINE_EPS * x) / (4.0 * deg), x)
-    orders = np.arange(max(deg.max() + 1, 3))
-    todo = np.arange(live.size)
+    orders = max(deg.max() + 1, 3)
     for retry in range(_CERTIFICATE_RETRIES + 1):
         z = x[todo] - back[todo]
         n = deg[todo]
-        c, h = _taylor(z, b[todo], power + orders.size)
-        signs = np.sign(c[:, power:]) * np.sign(c[:, power, None]) * (-1.0) ** orders
-        alternate = np.all((signs == 1.0) | (orders > n[:, None]), axis=1)
-        lower, upper = _root_distances(c, power, n)
-        v, t = value[todo], tol[todo]
-        certified = alternate & (np.abs(v - top[todo] / (z + h * lower)) <= t) & (
-            np.abs(v - top[todo] / (z + h * upper)) <= t)
+        c, h = _taylor(z, b[todo], power + orders)
+        g = c[:, power:]
+        lower, upper = _root_distances(g, power, n)
+        v, within = value[todo], tol[todo]
+        certified = _alternates(g, n) & (np.abs(v - top[todo] / (z + h * lower)) <= within) & (
+            np.abs(v - top[todo] / (z + h * upper)) <= within)
         todo = todo[~certified]
         if not todo.size:
             if tally is not None:
@@ -343,16 +456,22 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     )
 
 
-def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=None) -> np.ndarray:
+def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=None,
+                  t=None) -> np.ndarray:
     """Lower bounds of the scores of the ascending spectra in the rows of mu,
     as :func:`_root_scores` defines them, with no certificate pass: top / cap
-    for the cap of :func:`_laguerre`, or the exact scores at power 0."""
+    for the cap of :func:`_laguerre`, or the exact scores at power 0.  With
+    a bound t, as in :func:`_root_scores`, a row certified to score at least
+    t has the floor inf."""
     if power == 0:
         return _root_scores(mu, power, eps, noise)
     floors = np.zeros(mu.shape[0])
     live, top, deg, b = _live_rows(mu, power, noise)
     if live.size:
-        floors[live] = top / _laguerre(b, power, deg, top, eps, tally)[1]
+        _, cap, drop = _anchored(b, power, deg, top, eps, t, tally)
+        floors[live] = top / cap
+        if drop is not None:
+            floors[live[drop]] = np.inf
     return floors
 
 
@@ -453,15 +572,15 @@ def _spectra(basis, u: np.ndarray, noise: float) -> np.ndarray:
 
 
 def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            basis=None, tally=None) -> np.ndarray:
+            basis=None, tally=None, t=None) -> np.ndarray:
     """Certified scores, on state's scale, of the candidates whose directions
     are the rows of u, in row order: the eps-approximate largest root of the
     operator power of each candidate's residual characteristic polynomial.
     basis is the eigh of state's E E^T, formed here when not given; tally
-    counts as :func:`_root_scores` does."""
+    and t act as in :func:`_root_scores`."""
     if basis is None:
         basis = np.linalg.eigh(state.e @ state.e.T)
-    return _root_scores(_spectra(basis, u, state.noise), power, eps, state.noise, tally)
+    return _root_scores(_spectra(basis, u, state.noise), power, eps, state.noise, tally, t)
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -503,7 +622,8 @@ def _margin(score: float, eps: float, tie: float) -> float:
     return tie + 2.0 * max(eps, 64.0 * MACHINE_EPS * score)
 
 
-def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[int, float, IterationStats]:
+def _pick(state: SelectionState, power: int, eps: float, tie: float,
+          t=None) -> tuple[int, float, IterationStats]:
     """One iteration's winner, its score and counts: the smallest index among
     the admissible candidates scoring within tie of the minimum.  Raises
     AllCandidatesDegenerate when no candidate is admissible.
@@ -513,6 +633,13 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
     and then, in one call, every other candidate whose bound is within
     :func:`_margin` of that score; no other candidate can tie the minimum.
     One eigh(B) serves the bracket pass and every :func:`_spectra` call.
+
+    t, above which no candidate can win while the score chain holds, starts
+    the bracket pass's Laguerre runs (:func:`_anchored`); a candidate
+    certified to score at least t gets no floor or no score, and when the
+    leader is one of them, every candidate with a floor is scored.  When no
+    candidate is left, the iteration is picked again without t, so that the
+    chain check sees the real winning score.
     """
     cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
     u = state.e[:, cands].T
@@ -524,23 +651,31 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float) -> tuple[in
     count = cands.size
     basis = np.linalg.eigh(state.e @ state.e.T)
     tally = Counter()
-    scores = np.full(count, np.inf)  # inf: not scored
-    todo = np.ones(count, dtype=bool)
+    scores = np.full(count, np.inf)  # inf: not scored, or certified at least t
+    todo = scored = np.ones(count, dtype=bool)
     if not state.tied and count > _BLOCK_BYTES // (8 * basis[0].size**2):
-        floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise, tally)
+        floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise,
+                               tally, t)
         first = int(np.argmin(floors))
+        if floors[first] == np.inf:
+            return _pick(state, power, eps, tie)
         best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, basis,
-                                             tally)[0])
-        todo = floors <= best + _margin(best, eps, tie)
+                                             tally, t)[0])
+        scored = (floors <= best + _margin(best, eps, tie)) & (floors < np.inf)
+        scored[first] = True
+        todo = scored.copy()
         todo[first] = False
+    else:
+        t = None
     if todo.any():
-        scores[todo] = _scores(state, u[todo], power, eps, basis, tally)
+        scores[todo] = _scores(state, u[todo], power, eps, basis, tally, t)
     keep = scores < np.inf
-    cands, scores = cands[keep], scores[keep]
-    low = float(scores.min())
-    state.tied = bool(cands.size == count and scores.max() <= low + _margin(low, eps, tie))
+    if not keep.any():
+        return _pick(state, power, eps, tie)
+    low = float(scores[keep].min())
+    state.tied = bool(np.all(scores <= low + _margin(low, eps, tie)))
     pos = int(np.argmax(scores <= low + tie))
-    stats = IterationStats(count, cands.size, tally["steps"], tally["retries"])
+    stats = IterationStats(count, int(np.count_nonzero(scored)), tally["steps"], tally["retries"])
     return int(cands[pos]), float(scores[pos]), stats
 
 
@@ -585,8 +720,10 @@ def _select(arr: np.ndarray, state: SelectionState, k: int, eps, start: float) -
     roots_scaled = [float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, state.noise)[0])]
     stats: list[IterationStats] = []
     for l in range(1, k + 1):
-        best_idx, best_val, counts = _pick(state, k - l, eps_s, tie)
-        if best_val > roots_scaled[-1] + 2.0 * eps_s + tie:
+        bound = roots_scaled[-1] + 2.0 * eps_s + tie
+        best_idx, best_val, counts = _pick(state, k - l, eps_s, tie,
+                                           bound + _margin(bound, eps_s, tie))
+        if best_val > bound:
             raise CertificateViolation(
                 f"score chain violated at iteration {l}: {best_val} > {roots_scaled[-1]} + 2*eps"
             )

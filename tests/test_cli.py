@@ -440,15 +440,34 @@ class TestExitCodes:
 
         calls = []
 
-        def rising(mu, power, eps, noise, tally=None):
+        def rising(mu, power, eps, noise, tally=None, t=None):
             calls.append(power)
-            return scorer(mu, power, eps, noise, tally) + len(calls)
+            return scorer(mu, power, eps, noise, tally, t) + len(calls)
 
         scorer = selector_mod._root_scores
         monkeypatch.setattr(selector_mod, "_root_scores", rising)
         code = main(["select", "--instance", "random:n=6,d=6,seed=0", "-k", "3"])
         assert code == 3
         assert "score chain violated at iteration 1:" in capsys.readouterr().err
+
+    def test_chain_head_below_every_candidate_exits_3(self, capsys, monkeypatch):
+        # a bracket-size input whose chain head is forced to 0: every
+        # candidate is dropped at the chain bound, then scored without it
+        import cssp.selector as selector_mod
+
+        calls = []
+
+        def lowered(mu, power, eps, noise, tally=None, t=None):
+            calls.append(power)
+            out = scorer(mu, power, eps, noise, tally, t)
+            return out * 0.0 if len(calls) == 1 else out
+
+        scorer = selector_mod._root_scores
+        monkeypatch.setattr(selector_mod, "_root_scores", lowered)
+        code = main(["select", "--instance", "random:n=40,d=80,seed=7", "-k", "20"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "score chain violated at iteration 1:" in err and "inf" not in err
 
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = tmp_path / "short.mtx"

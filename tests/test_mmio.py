@@ -105,6 +105,32 @@ class TestMatrixMarket:
         with pytest.raises(ParseError):
             load_matrix(path)
 
+    def test_coordinate_duplicate_rejected(self, tmp_path):
+        path = tmp_path / "dup.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 1 3\n1 1 2.0\n"
+        )
+        with pytest.raises(ParseError, match=r"duplicate entry \(1, 1\), first given on line 3") as err:
+            load_matrix(path)
+        assert err.value.line == 5
+
+    def test_symmetric_mirror_is_a_duplicate(self, tmp_path):
+        # (1, 2) sets (2, 1) under symmetric storage
+        path = tmp_path / "mirror.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 7\n1 2 8\n"
+        )
+        with pytest.raises(ParseError, match=r"duplicate entry \(1, 2\)") as err:
+            load_matrix(path)
+        assert err.value.line == 4
+
+    def test_transposed_entry_is_not_a_duplicate_in_general_storage(self, tmp_path):
+        path = tmp_path / "pair.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 7\n1 2 8\n"
+        )
+        assert np.array_equal(load_matrix(path), [[0.0, 8.0], [7.0, 0.0]])
+
 
 class TestExtremeValues:
     def test_round_trip_extremes(self, tmp_path):

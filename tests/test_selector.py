@@ -118,6 +118,25 @@ class TestSelect:
         with pytest.raises(CertificateViolation, match="score chain violated at iteration 1:"):
             select(random_gaussian(6, 6, 0), 3)
 
+    def test_chain_head_below_every_candidate_raises(self, monkeypatch):
+        # the bracket pass's count drops every candidate at the lowered
+        # chain bound; the iteration is scored again without it, and the
+        # error reports the real winning score
+        monkeypatch.setattr(selector_mod, "_root_scores", lowered_head(selector_mod._root_scores))
+        bounds = []
+        pick = selector_mod._pick
+
+        def recorded(state, power, eps, tie, t=None):
+            bounds.append(t)
+            return pick(state, power, eps, tie, t)
+
+        monkeypatch.setattr(selector_mod, "_pick", recorded)
+        with pytest.raises(CertificateViolation, match="score chain violated at iteration 1:") as err:
+            select(random_gaussian(40, 80, 7), 20)
+        assert len(bounds) == 2 and bounds[0] > 0.0 and bounds[1] is None
+        best = float(str(err.value).split(": ")[1].split(" > ")[0])
+        assert 0.0 < best < np.inf
+
     def test_end_to_end_root_bound(self):
         # residual stays below the k-fold operator root plus 2 k eps
         eps = 1e-9
@@ -420,6 +439,24 @@ class TestTaylor:
         assert np.array_equal(c, ref_c)
         assert np.array_equal(h, ref_h)
 
+    @pytest.mark.parametrize("orders", [2, 5, 13])
+    def test_high_orders_within_their_rounding_bound(self, orders):
+        # the reversed product gives the top orders of the full expansion,
+        # each within the _ROUNDING bound of its sum of magnitudes, which
+        # bounds the coefficient itself
+        rng = np.random.Generator(np.random.Philox(5))
+        b = 10.0 ** rng.uniform(-8.0, 0.0, size=(9, 12))
+        b[rng.uniform(size=b.shape) < 0.25] = 0.0
+        b[:, 0] = 1.0
+        x = rng.uniform(0.5, 3.0, size=9)
+        full, h = selector_mod._taylor(x, b, 13)
+        c, high_h, sizes = selector_mod._taylor(x, b, orders, True)
+        assert c.shape == sizes.shape == (9, orders)
+        assert np.array_equal(high_h, h)
+        assert np.all(np.abs(c) <= sizes * (1.0 + 1e-12))
+        bound = 2 * (selector_mod._ROUNDING * 12 + 10) * MACHINE_EPS * sizes
+        assert np.all(np.abs(c - full[:, 13 - orders :]) <= bound)
+
 
 class TestTieBreak:
     def test_hard_instance_ties_go_to_smallest_index(self):
@@ -433,13 +470,26 @@ class TestTieBreak:
         assert select(hard_instance(48, 1.0)[:, perm], 24).subset == list(range(24))
 
 
+def lowered_head(scorer):
+    """The scorer with the scores of its first call, the chain head's in
+    select, set to 0."""
+    calls = []
+
+    def lowered(mu, power, eps, noise, tally=None, t=None):
+        calls.append(power)
+        out = scorer(mu, power, eps, noise, tally, t)
+        return out * 0.0 if len(calls) == 1 else out
+
+    return lowered
+
+
 def rising_scores(scorer):
     """The scorer with 1, 2, 3, ... added to the scores of successive calls."""
     calls = []
 
-    def rising(mu, power, eps, noise, tally=None):
+    def rising(mu, power, eps, noise, tally=None, t=None):
         calls.append(power)
-        return scorer(mu, power, eps, noise, tally) + len(calls)
+        return scorer(mu, power, eps, noise, tally, t) + len(calls)
 
     return rising
 
@@ -632,6 +682,95 @@ class TestPowerZeroScores:
                 got = scorer(mu, 0, 1e-9, noise, tally)
                 assert got.tobytes() == want.tobytes()
                 assert tally["steps"] == tally["retries"] == 0
+
+
+def _count_spectra(rows, r, spread, zeros, cluster, seed):
+    """Ascending spectra with top entry 1: entries log-uniform down to
+    1/spread, the lowest zeros of each row 0, and the top cluster entries of
+    some rows equal to the top, others within a few ulps of it."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    mu = 10.0 ** rng.uniform(-np.log10(spread), 0.0, size=(rows, r))
+    mu[:, -1] = 1.0
+    mu.sort(axis=1)
+    mu[:, :zeros] = 0.0
+    if cluster:
+        jitter = np.where(rng.random(rows) < 0.5, 0.0, 4.0 * MACHINE_EPS)[:, None]
+        mu[:, -cluster:] = 1.0 - jitter * np.arange(cluster)[::-1]
+    return mu
+
+
+class TestAnchoredCount:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.integers(2, 40),
+        spread=st.sampled_from([1.0, 1e3, 1e6, 1e12]),
+        zeros=st.integers(0, 3),
+        cluster=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+        power_frac=st.floats(0.0, 1.0),
+        shift=st.floats(-0.5, 0.5),
+        eps=st.sampled_from([1e-9, 1e-13]),
+    )
+    def test_count_against_unanchored_scores(self, r, spread, zeros, cluster, seed, power_frac,
+                                             shift, eps):
+        # a row the count drops scores above t, up to the score tolerance;
+        # a kept row's anchored score is within the tolerance of its
+        # unanchored one, and its anchored floor stays below.  (At eps near
+        # the rounding level the certificate itself fails on a few such
+        # spectra, anchored or not, so eps stays above it.)
+        mu = _count_spectra(8, r, spread, min(zeros, r - 1), min(cluster, r), seed)
+        noise = r * MACHINE_EPS
+        left = r - min(zeros, r - 1)
+        power = 1 + int(power_frac * (left - 2)) if left > 1 else 1
+        free = selector_mod._root_scores(mu, power, eps, noise)
+        rng = np.random.Generator(np.random.Philox(seed))
+        t = max(float(free[rng.integers(free.size)]), eps) * 10.0**shift
+        anchored = selector_mod._root_scores(mu, power, eps, noise, None, t)
+        floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
+        slack = max(eps, 64 * MACHINE_EPS * t)
+        for dropped in (anchored == np.inf, floors == np.inf):
+            assert np.all(free[dropped] > t - slack)
+        kept = anchored < np.inf
+        assert np.all(np.abs(anchored[kept] - free[kept])
+                      <= np.maximum(eps, 64 * MACHINE_EPS * free[kept]))
+        low = floors < np.inf
+        assert np.all(floors[low] <= free[low] + np.maximum(eps, 64 * MACHINE_EPS * free[low]))
+
+    def test_count_decides_rows(self):
+        # t between the scores: the row above it is dropped, the row below
+        # is anchored; a top entry repeated past the power puts a root of g
+        # exactly at x0 = 1 (top below t), which the count leaves undecided
+        # (its lowest orders are exact zeros), so that row runs from 1
+        mu = np.array([[0.0, 0.01, 0.1, 0.5, 1.0], [0.0, 0.001, 0.002, 0.003, 1.0],
+                       [0.0, 0.02, 0.1, 0.1, 0.1]])
+        power, noise, eps = 2, 5 * MACHINE_EPS, 1e-12
+        free = selector_mod._root_scores(mu, power, eps, noise)
+        t = 0.5 * (free[0] + free[1])
+        assert free[1] < free[2] == 0.1 < t < free[0]
+        _, top, deg, b = selector_mod._live_rows(mu, power, noise)
+        x, cap, drop = selector_mod._anchored(b, power, deg, top, eps, t)
+        assert drop.tolist() == [True, False, False]
+        assert top[1] / t < x[1] <= cap[1]
+        assert x[1] == pytest.approx(top[1] / free[1], rel=1e-12)
+        assert x[2] == cap[2] == 1.0
+        scores = selector_mod._root_scores(mu, power, eps, noise, None, t)
+        assert scores[0] == np.inf and scores[2] == free[2]
+        assert abs(scores[1] - free[1]) <= max(eps, 64 * MACHINE_EPS * free[1])
+
+    def test_long_count_is_skipped(self):
+        # 200 rows of 60 entries at power 2: the count's products would be
+        # far longer than the Laguerre steps they save, so the batch runs
+        # from 1, as without t, and drops nothing
+        mu = _count_spectra(200, 60, 1e6, 0, 0, 3)
+        power, noise, eps = 2, 60 * MACHINE_EPS, 1e-9
+        tallies = Counter(), Counter()
+        free = selector_mod._root_scores(mu, power, eps, noise, tallies[0])
+        t = float(np.median(free))
+        got = selector_mod._root_scores(mu, power, eps, noise, tallies[1], t)
+        assert got.tobytes() == free.tobytes()
+        assert tallies[0] == tallies[1]
+        floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
+        assert floors.tobytes() == selector_mod._score_floors(mu, power, eps, noise).tobytes()
 
 
 def _bracket_input(kind, n, d, seed):
@@ -844,6 +983,51 @@ class TestBracketPass:
             selector_mod._advance(state, got)
         assert pruned > 0
 
+    @pytest.mark.parametrize(
+        "a, k",
+        [
+            (random_gaussian(12, 30, 2), 8),
+            (power_law(20, 20, 20, 2.0, 1.0, 3), 14),
+            (_rank_deficient(24, 30, 10, 5), 9),
+            (random_gaussian(16, 20, 4)[:, [0, 1, 2, 3, 0, 4, 5, 1, *range(6, 20)]], 10),
+        ],
+        ids=["wide", "power", "rank-deficient", "duplicated"],
+    )
+    def test_pick_from_the_chain_bound_matches_full_scoring(self, monkeypatch, a, k):
+        # started at select's chain bound t, the bracket pass keeps full
+        # scoring's winner, with a score within the tolerance
+        monkeypatch.setattr(selector_mod, "_BLOCK_BYTES", 2048)
+        dropped = []
+        anchored = selector_mod._anchored
+
+        def recorded(*args):
+            out = anchored(*args)
+            dropped.append(0 if out[2] is None else int(np.count_nonzero(out[2])))
+            return out
+
+        monkeypatch.setattr(selector_mod, "_anchored", recorded)
+        state = initial_state(a)
+        eps = 1e-9 / state.scale
+        tie = selector_mod._TIE_ULPS * MACHINE_EPS * max(1.0, state.eigs[0] / state.scale)
+        prev = float(selector_mod._root_scores((state.eigs / state.scale)[None, ::-1], k, eps,
+                                               state.noise)[0])
+        for l in range(1, k + 1):
+            cands = np.delete(np.arange(a.shape[1]), state.chosen)
+            u = state.e[:, cands].T
+            ok = np.linalg.norm(u, axis=1) > state.tol
+            scores = selector_mod._scores(state, u[ok], k - l, eps)
+            low = scores.min()
+            want = int(cands[ok][np.argmax(scores <= low + tie)])
+            bound = prev + 2.0 * eps + tie
+            state.tied = False
+            got, prev, counts = selector_mod._pick(state, k - l, eps, tie,
+                                                   bound + selector_mod._margin(bound, eps, tie))
+            assert got == want
+            assert abs(prev - low) <= max(eps, 64 * MACHINE_EPS * low)
+            assert counts.admissible == np.count_nonzero(ok)
+            selector_mod._advance(state, got)
+        assert sum(dropped) > 0
+
 
 class TestSelectionStats:
     def test_wide_prunes_most_candidates(self):
@@ -872,14 +1056,14 @@ class TestSelectionStats:
     def test_wide_counters(self):
         result = select(random_gaussian(40, 80, 7), 20)
         assert [s.steps for s in result.stats] == [
-            11, 11, 11, 17, 17, 17, 17, 11, 11, 17, 17, 10, 9, 14, 9, 9, 9, 9, 4, 0,
+            7, 7, 7, 11, 11, 11, 11, 7, 7, 11, 11, 7, 7, 11, 7, 9, 7, 7, 4, 0,
         ]
         assert [s.retries for s in result.stats] == [0] * 20
 
     def test_hard_instance_counters(self):
         perm = np.random.Generator(np.random.Philox(7)).permutation(48)
         result = select(hard_instance(48, 1.0)[:, perm], 24)
-        assert [s.steps for s in result.stats] == [8] + [3] * 22 + [0]
+        assert [s.steps for s in result.stats] == [6] + [3] * 22 + [0]
         assert [s.retries for s in result.stats] == [0] * 24
 
     def test_steps_count_taylor_expansions(self, monkeypatch):
