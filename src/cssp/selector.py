@@ -5,9 +5,8 @@ of the polynomial obtained from the candidate's post-selection
 characteristic polynomial under the polar-type operator, then keeps the
 column with the smallest score.  Scores within a few rounding units of the
 iteration's minimum count as tied, and ties go to the smallest column
-index, so identical inputs always produce identical subsets.  Outside
-the bracket pass below, a score does not depend on the candidates scored
-with it.
+index, so identical inputs always produce identical subsets.  A score
+does not depend on the candidates scored with it.
 
 Scores are found in product form, never from monomial coefficients: by the
 reversal identity a candidate with spectrum mu scores 1/y*, y* the smallest
@@ -29,17 +28,20 @@ is skipped when all candidate matrices fit in one eigvalsh block, and
 after a fully scored iteration in which every candidate tied within that
 margin, where nothing can be pruned.
 
-The bracket pass starts every Laguerre run from the score chain.  With
+The bracket pass starts its Laguerre runs from the score chain.  With
 bound the previous winning score plus 2 eps and the tie margin, and t that
 bound plus the margin above, no candidate scoring at least t can win or
 tie while the chain holds.  One expansion of g at x0 = max(1, top / t)
 counts the roots of g above x0 (Budan-Fourier): where all of them are,
 Laguerre goes on from x0; a row with a root at or below x0 scores at
-least t and is dropped.  Where that expansion costs more than the steps
-it saves, a batch runs from 1, so a score may depend on its batch, within
-its tolerance.  When every candidate is dropped the chain is broken, and
-the iteration is picked again without t, so that the check sees the real
-winning score.
+least t and is dropped.  When every candidate is dropped the chain is
+broken, and the iteration is picked again without t, so that the check
+sees the real winning score.  The expansion takes the place of about
+three Laguerre steps, each of power + 3 orders, and has two products of
+about r - power orders (the coefficients and their rounding bounds), r
+the rank of B, so an iteration where it is longer, as at low powers of
+wide inputs, runs from 1.  Every batch of an iteration starts alike, so
+a score does not depend on its batch.
 
 Each iteration takes one eigh(B), which serves the bracket pass and exact
 scoring.  In B's eigenbasis, with each cluster of eigenvalues deflated,
@@ -92,23 +94,15 @@ _GRID = 15
 # the twice noise that the bracket sets aside.
 _CLUSTER_WIDTH = 0.25
 
-# Rounding bound of a Taylor coefficient of _taylor, in eps_mach per column
-# of b, times the sum m of the magnitudes of its terms.  Each factor's two
-# entries carry at most three roundings (forming a_j or b_j h, the normalising
-# division, and b_j x read as moving the root 1/b_j by one ulp), and the
-# product adds two per factor (a multiply and a subtract), so the computed
-# coefficient is within (5 columns + 10) eps_mach m of the exact one, the 10
-# covering second-order terms; one within that of 0 has no certain sign.
+# Rounding bound of a Taylor coefficient of _taylor, in eps_mach per nonzero
+# column of b (a zero column multiplies exactly), times the sum m of the
+# magnitudes of its terms.  Each factor's two entries carry at most three
+# roundings (forming a_j or b_j h, the normalising division, and b_j x read
+# as moving the root 1/b_j by one ulp), and the product adds two per factor
+# (a multiply and a subtract), so the computed coefficient is within
+# (5 columns + 10) eps_mach m of the exact one, the 10 covering
+# second-order terms; one within that of 0 has no certain sign.
 _ROUNDING = 5
-
-# The root count's expansion, two products of the orders power .. n (the
-# coefficients and their sizes), stands for the first Laguerre step and
-# saves about two more, each a product of power + 3 orders.  Each pass of a
-# product costs a fixed numpy overhead worth about this many entries (4 us
-# against 2.5 ns an entry, numpy 2.4 on a 2-core x86 host), so the count
-# runs where its extra entries per pass stay within the overhead of the two
-# passes it saves: on few rows, or where power is large.
-_PASS_ENTRIES = 1600
 
 
 @dataclass
@@ -231,22 +225,26 @@ def _taylor(x: np.ndarray, b: np.ndarray, orders: int, high: bool = False):
     h, the geometric mean of the distances |a_j| / b_j from x to the roots,
     balances the lowest and highest coefficients, so neither underflows
     however far the roots spread; the positive divisors keep every
-    coefficient within [-1, 1].  A zero b_j gives the factor 1 exactly.
+    coefficient within [-1, 1].  A zero b_j gives the factor 1 exactly, and
+    h's logarithms are summed one column after another, so a row's data do
+    not depend on the zero columns or the rows stacked with it.
     """
-    a = 1.0 - b * x[:, None]
+    # columns x rows, and orders x rows below, so each factor is three
+    # in-place passes over contiguous rows
+    b = np.ascontiguousarray(b.T)
+    a = 1.0 - b * x
     live = b > 0.0
-    dist = np.divide(np.maximum(np.abs(a), MACHINE_EPS), b, out=np.ones_like(b), where=live)
-    h = np.exp(np.log(dist).sum(axis=1) / np.count_nonzero(live, axis=1))
-    bh = b * h[:, None]
+    logs = np.divide(np.maximum(np.abs(a), MACHINE_EPS), b, out=np.ones_like(b), where=live)
+    np.log(logs, out=logs)
+    h = np.exp(np.add.accumulate(logs, out=logs)[-1] / np.count_nonzero(live, axis=0))
+    bh = b * h
     s = np.abs(a) + bh
     a /= s
     bh /= s
     if high:
         # each pass below multiplies by a_j - bh_j s; with (-bh_j, -a_j) it
         # multiplies by a_j w - bh_j, with (bh_j, -|a_j|) by |a_j| w + bh_j
-        a, bh = np.concatenate([-bh, bh]), np.concatenate([-a, -np.abs(a)])
-    # orders x rows, so each factor is three in-place passes over contiguous rows
-    a, bh = np.ascontiguousarray(a.T), np.ascontiguousarray(bh.T)
+        a, bh = np.concatenate([-bh, bh], axis=1), np.concatenate([-a, -np.abs(a)], axis=1)
     c = np.zeros((orders, a.shape[1]))
     c[0] = 1.0
     head, tail = c[:-1], c[1:]
@@ -359,24 +357,25 @@ def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     """(x, cap, drop): the bounds of :func:`_laguerre` on each row's x*,
     started at x0 = max(1, top / t) where a root count allows, and the rows
     whose score top / x* is certified at least t, bounded no further.  With
-    t None, or where the count costs more than it saves (_PASS_ENTRIES),
-    Laguerre runs from 1 and drop is None.
+    t None, Laguerre runs from 1 and drop is None.
 
     One Taylor expansion at x0, of the orders power and up, which are g's
     (:func:`_taylor`'s high orders), counts the roots of g above x0 by
     Budan-Fourier, with each coefficient's sign certain beyond its _ROUNDING
-    bound.  All of them above (:func:`_alternates`): x0 < x*, and the
-    expansion is the first Laguerre step.  Fewer, where two certain signs
-    break the alternation: x* <= x0, so the score is at least top / x0 = t.
-    A row the count cannot decide runs from 1."""
-    orders = b.shape[1] - power + 1
-    if t is None or top.size * (2 * orders - 3 * (power + 3)) > 2 * _PASS_ENTRIES:
+    bound, counted over the row's own deg + power columns (a zero column
+    multiplies exactly, so adds no rounding).  All of them above
+    (:func:`_alternates`): x0 < x*, and the expansion is the first Laguerre
+    step.  Fewer, where two certain signs break the alternation: x* <= x0,
+    so the score is at least top / x0 = t.  A row the count cannot decide
+    runs from 1.  Nothing here depends on the other rows."""
+    if t is None:
         return *_laguerre(b, power, deg, top, eps, tally), None
+    orders = b.shape[1] - power + 1
     x0 = np.maximum(1.0, top / t)
     g, h, sizes = _taylor(x0, b, orders, True)
     if tally is not None:
         tally["steps"] += 1
-    slack = (_ROUNDING * b.shape[1] + 10) * MACHINE_EPS * sizes
+    slack = (_ROUNDING * (deg + power) + 10)[:, None] * MACHINE_EPS * sizes
     above = _alternates(g, deg, slack)
     order = np.arange(orders)
     certain = (np.abs(g) > slack) & (order <= deg[:, None])
@@ -635,7 +634,8 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     One eigh(B) serves the bracket pass and every :func:`_spectra` call.
 
     t, above which no candidate can win while the score chain holds, starts
-    the bracket pass's Laguerre runs (:func:`_anchored`); a candidate
+    the bracket pass's Laguerre runs (:func:`_anchored`) unless its root
+    count costs more than it saves (see the module docstring); a candidate
     certified to score at least t gets no floor or no score, and when the
     leader is one of them, every candidate with a floor is scored.  When no
     candidate is left, the iteration is picked again without t, so that the
@@ -654,6 +654,8 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     scores = np.full(count, np.inf)  # inf: not scored, or certified at least t
     todo = scored = np.ones(count, dtype=bool)
     if not state.tied and count > _BLOCK_BYTES // (8 * basis[0].size**2):
+        if 2 * (np.count_nonzero(basis[0] > state.noise) - power + 1) > 3 * (power + 3):
+            t = None  # the count is longer than the steps it saves
         floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise,
                                tally, t)
         first = int(np.argmin(floors))

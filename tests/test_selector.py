@@ -353,28 +353,44 @@ class TestStateConsistency:
         assert calls == [1] * 4
 
     @pytest.mark.parametrize(
-        "a, picks",
+        "a, k, picks",
         [
-            (random_gaussian(40, 80, 7), 3),
-            (power_law(16, 16, 16, 2.0, 1.0, 5), 3),
-            (_rank_deficient(20, 16, 6, 4), 2),
-            (hard_instance(24, 1.0)[:, np.random.Generator(np.random.Philox(3)).permutation(24)], 3),
+            (random_gaussian(40, 80, 7), 39, 3),
+            (power_law(16, 16, 16, 2.0, 1.0, 5), 15, 3),
+            (_rank_deficient(20, 16, 6, 4), 5, 2),
+            (hard_instance(24, 1.0)[:, np.random.Generator(np.random.Philox(3)).permutation(24)],
+             23, 3),
+            # 40 copies of one column among 120 candidates, at low powers
+            (random_gaussian(40, 80, 7)[:, [*[75] * 40, *range(80)]], 4, 3),
         ],
-        ids=["wide", "power", "rank-deficient", "hard"],
+        ids=["wide", "power", "rank-deficient", "hard", "copies"],
     )
-    def test_scores_do_not_depend_on_the_batch(self, a, picks):
-        # each candidate scored alone gives its batched score bit for bit
+    def test_scores_do_not_depend_on_the_batch(self, a, k, picks):
+        # each candidate scored alone gives its batched score and floor bit
+        # for bit, from 1 and from a bound t between the scores, which drops
+        # some rows and anchors the others
         state = initial_state(a)
         eps = 1e-9 / state.scale
         for l in range(picks):
             cands = np.delete(np.arange(a.shape[1]), state.chosen)
             cands = cands[np.linalg.norm(state.e[:, cands], axis=0) > state.tol]
             u = state.e[:, cands].T
-            power = state.eigs.size - l - 2
-            batched = selector_mod._scores(state, u, power, eps)
-            alone = [selector_mod._scores(state, u[i : i + 1], power, eps)[0] for i in range(len(u))]
-            assert np.array_equal(batched, alone)
-            selector_mod._advance(state, int(cands[np.argmin(batched)]))
+            power = k - l - 1
+            basis = np.linalg.eigh(state.e @ state.e.T)
+            free = selector_mod._scores(state, u, power, eps, basis)
+            for t in (None, float(np.median(free))):
+                batched = selector_mod._scores(state, u, power, eps, basis, None, t)
+                alone = [selector_mod._scores(state, u[i : i + 1], power, eps, basis, None, t)[0]
+                         for i in range(len(u))]
+                assert np.array_equal(batched, alone)
+                lower = selector_mod._lower_spectra(u, state.noise, basis)
+                floors = selector_mod._score_floors(lower, power, eps, state.noise, None, t)
+                alone = [selector_mod._score_floors(lower[i : i + 1], power, eps, state.noise,
+                                                    None, t)[0] for i in range(len(u))]
+                assert np.array_equal(floors, alone)
+            if free.max() > 1.01 * free.min():  # not the hard instance's one score
+                assert np.isinf(batched).any() and np.isfinite(batched).any()
+            selector_mod._advance(state, int(cands[np.argmin(free)]))
 
 
 class TestRegressionPins:
@@ -412,7 +428,10 @@ def _row_major_taylor(x, b, orders):
     a = 1.0 - b * x[:, None]
     live = b > 0.0
     dist = np.divide(np.maximum(np.abs(a), MACHINE_EPS), b, out=np.ones_like(b), where=live)
-    h = np.exp(np.log(dist).sum(axis=1) / np.count_nonzero(live, axis=1))
+    logs = np.zeros(x.size)
+    for j in range(b.shape[1]):  # in column order
+        logs += np.log(dist[:, j])
+    h = np.exp(logs / np.count_nonzero(live, axis=1))
     bh = b * h[:, None]
     s = np.abs(a) + bh
     a /= s
@@ -757,20 +776,21 @@ class TestAnchoredCount:
         assert scores[0] == np.inf and scores[2] == free[2]
         assert abs(scores[1] - free[1]) <= max(eps, 64 * MACHINE_EPS * free[1])
 
-    def test_long_count_is_skipped(self):
-        # 200 rows of 60 entries at power 2: the count's products would be
-        # far longer than the Laguerre steps they save, so the batch runs
-        # from 1, as without t, and drops nothing
-        mu = _count_spectra(200, 60, 1e6, 0, 0, 3)
-        power, noise, eps = 2, 60 * MACHINE_EPS, 1e-9
-        tallies = Counter(), Counter()
-        free = selector_mod._root_scores(mu, power, eps, noise, tallies[0])
-        t = float(np.median(free))
-        got = selector_mod._root_scores(mu, power, eps, noise, tallies[1], t)
-        assert got.tobytes() == free.tobytes()
-        assert tallies[0] == tallies[1]
-        floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
-        assert floors.tobytes() == selector_mod._score_floors(mu, power, eps, noise).tobytes()
+
+    @pytest.mark.parametrize("t", [None, 0.5, 2.0])
+    def test_rows_do_not_depend_on_their_batch(self, t):
+        # a row scored beside rows with fewer zero entries, so in wider
+        # columns, or beside its own copies, scores and floors as alone
+        mu = np.concatenate([_count_spectra(30, 48, 1e6, zeros, 0, zeros) for zeros in (0, 1, 3)])
+        mu = np.concatenate([np.repeat(mu[-1:], 40, axis=0), mu])
+        noise, eps = 48 * MACHINE_EPS, 1e-9
+        for power in (1, 2, 12):
+            free = selector_mod._root_scores(mu, power, eps, noise)
+            at = None if t is None else t * float(np.median(free))
+            for fn in (selector_mod._root_scores, selector_mod._score_floors):
+                batched = fn(mu, power, eps, noise, None, at)
+                alone = [fn(mu[i : i + 1], power, eps, noise, None, at)[0] for i in range(len(mu))]
+                assert np.array_equal(batched, alone)
 
 
 def _bracket_input(kind, n, d, seed):
@@ -990,8 +1010,10 @@ class TestBracketPass:
             (power_law(20, 20, 20, 2.0, 1.0, 3), 14),
             (_rank_deficient(24, 30, 10, 5), 9),
             (random_gaussian(16, 20, 4)[:, [0, 1, 2, 3, 0, 4, 5, 1, *range(6, 20)]], 10),
+            # the first winner, column 75, copied 40 times after the others
+            (random_gaussian(40, 80, 7)[:, [*range(80), *[75] * 40]], 20),
         ],
-        ids=["wide", "power", "rank-deficient", "duplicated"],
+        ids=["wide", "power", "rank-deficient", "duplicated", "copies"],
     )
     def test_pick_from_the_chain_bound_matches_full_scoring(self, monkeypatch, a, k):
         # started at select's chain bound t, the bracket pass keeps full
@@ -1028,6 +1050,28 @@ class TestBracketPass:
             selector_mod._advance(state, got)
         assert sum(dropped) > 0
 
+    def test_iteration_where_the_count_is_longer_runs_from_one(self, monkeypatch):
+        # at power 2 on 40 x 80 the count's expansion, twice about 39
+        # orders, is longer than the three 5-order steps it saves: no batch
+        # gets t, and the pick is the one without t, bit for bit
+        seen = []
+        anchored = selector_mod._anchored
+
+        def recorded(*args):
+            seen.append(args[5])
+            return anchored(*args)
+
+        monkeypatch.setattr(selector_mod, "_anchored", recorded)
+        a = random_gaussian(40, 80, 7)
+        state = initial_state(a)
+        eps = 1e-9 / state.scale
+        tie = selector_mod._TIE_ULPS * MACHINE_EPS * max(1.0, state.eigs[0] / state.scale)
+        free = selector_mod._scores(state, state.e.T, 2, eps)
+        picks = [selector_mod._pick(initial_state(a), 2, eps, tie, t)
+                 for t in (None, float(np.median(free)))]
+        assert picks[0] == picks[1] and picks[0][2].pruned > 0
+        assert seen and seen == [None] * len(seen)
+
 
 class TestSelectionStats:
     def test_wide_prunes_most_candidates(self):
@@ -1056,7 +1100,7 @@ class TestSelectionStats:
     def test_wide_counters(self):
         result = select(random_gaussian(40, 80, 7), 20)
         assert [s.steps for s in result.stats] == [
-            7, 7, 7, 11, 11, 11, 11, 7, 7, 11, 11, 7, 7, 11, 7, 9, 7, 7, 4, 0,
+            7, 7, 7, 11, 11, 11, 11, 7, 11, 17, 17, 10, 9, 14, 9, 9, 9, 9, 4, 0,
         ]
         assert [s.retries for s in result.stats] == [0] * 20
 
