@@ -33,15 +33,16 @@ bound the previous winning score plus 2 eps and the tie margin, and t that
 bound plus the margin above, no candidate scoring at least t can win or
 tie while the chain holds.  One expansion of g at x0 = max(1, top / t)
 counts the roots of g above x0 (Budan-Fourier): where all of them are,
-Laguerre goes on from x0; a row with a root at or below x0 scores at
-least t and is dropped.  When every candidate is dropped the chain is
-broken, and the iteration is picked again without t, so that the check
-sees the real winning score.  The expansion takes the place of about
-three Laguerre steps, each of power + 3 orders, and has two products of
-about r - power orders (the coefficients and their rounding bounds), r
-the rank of B, so an iteration where it is longer, as at low powers of
-wide inputs, runs from 1.  Every batch of an iteration starts alike, so
-a score does not depend on its batch.
+Laguerre goes on from x0; a row with a root at or below x0 scores at least
+t and is dropped, keeping top / x0, a lower bound at least t, as its floor
+and as its score.  So a dropped candidate neither wins nor ties while the
+chain holds, and when every candidate is dropped the chain is broken, and
+select reports the least of those bounds.  The expansion takes the place
+of about three Laguerre steps, each of power + 3 orders, and has two
+products of about r - power orders (the coefficients and their rounding
+bounds), r the rank of B, so an iteration where it is longer, as at low
+powers of wide inputs, runs from 1.  Every batch of an iteration starts
+alike, so a score does not depend on its batch.
 
 Each iteration takes one eigh(B), which serves the bracket pass and exact
 scoring.  In B's eigenbasis, with each cluster of eigenvalues deflated,
@@ -353,11 +354,11 @@ def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
 
 
 def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: float, t,
-              tally=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(x, cap, drop): the bounds of :func:`_laguerre` on each row's x*,
-    started at x0 = max(1, top / t) where a root count allows, and the rows
-    whose score top / x* is certified at least t, bounded no further.  With
-    t None, Laguerre runs from 1 and drop is None.
+              tally=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, cap, drop): bounds x <= x* <= cap on each row's x*, from
+    :func:`_laguerre` started at x0 = max(1, top / t) where a root count
+    allows, and the rows the count drops.  With t None, Laguerre runs from 1
+    and no row is dropped.
 
     One Taylor expansion at x0, of the orders power and up, which are g's
     (:func:`_taylor`'s high orders), counts the roots of g above x0 by
@@ -366,10 +367,11 @@ def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     multiplies exactly, so adds no rounding).  All of them above
     (:func:`_alternates`): x0 < x*, and the expansion is the first Laguerre
     step.  Fewer, where two certain signs break the alternation: x* <= x0,
-    so the score is at least top / x0 = t.  A row the count cannot decide
-    runs from 1.  Nothing here depends on the other rows."""
+    so the row keeps cap = x0, its score top / x* is at least top / x0 = t,
+    and it is bounded no further.  A row the count cannot decide runs from
+    1.  Nothing here depends on the other rows."""
     if t is None:
-        return *_laguerre(b, power, deg, top, eps, tally), None
+        return *_laguerre(b, power, deg, top, eps, tally), np.zeros(top.size, dtype=bool)
     orders = b.shape[1] - power + 1
     x0 = np.maximum(1.0, top / t)
     g, h, sizes = _taylor(x0, b, orders, True)
@@ -382,7 +384,7 @@ def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     signs = np.where(certain, np.sign(g) * (-1.0) ** order, 0.0)
     drop = (signs.max(axis=1) > 0.0) & (signs.min(axis=1) < 0.0)
     g = np.pad(g, ((0, 0), (0, max(3 - g.shape[1], 0))))  # a linear g: orders above are 0
-    x, cap = np.ones(top.size), np.full(top.size, np.inf)
+    x, cap = np.ones(top.size), x0.copy()
     if above.any():
         x[above], cap[above] = _laguerre(b[above], power, deg[above], top[above], eps, tally,
                                          x0[above], (g[above], h[above]))
@@ -397,20 +399,23 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     """Scores of the ascending spectra in the rows of mu, entries at most
     noise taken as zero: the largest root of the power-th polar image of
     prod_j (x - mu_j), certified within max(eps, 64 ulps).  With a bound t,
-    Laguerre starts from :func:`_anchored`'s point, and a row certified to
-    score at least t scores inf.
+    Laguerre starts from :func:`_anchored`'s point, and a row it drops
+    scores top / x0, a certified lower bound at least t, with no
+    certificate.
 
     In x = top * y, b = mu / top, the smallest root x* of g = D^power
     prod_j (1 - b_j x) is at least 1 and the score is top / x*, with x from
     :func:`_laguerre`.  At z just left of x, strictly alternating Taylor
     orders power .. r put every root of g above z (Budan-Fourier), so the
     bounds of :func:`_root_distances` from z bracket x*, and both ends must
-    score within the tolerance.  A row with deg = r - power <= 0 has a
-    constant g and scores 0.  At power 0, g is the product itself and the
-    score is top exactly, or 0 where top is at most noise, with no Taylor
-    expansion.  tally counts as :func:`_laguerre` does, with certificate
-    points, and its "retries" the back-offs.  Raises CertificateViolation
-    when a score cannot be certified.
+    score within the tolerance.  z backs off from x by the tolerance's share
+    per root, but never by less than a few ulps of x, so that z < x.  A row
+    with deg = r - power <= 0 has a constant g and scores 0.  At power 0, g
+    is the product itself and the score is top exactly, or 0 where top is
+    at most noise, with no Taylor expansion.  tally counts as
+    :func:`_laguerre` does, with certificate points, and its "retries" the
+    back-offs.  Raises CertificateViolation when a score cannot be
+    certified.
     """
     if power == 0:
         top = mu[:, -1]
@@ -420,19 +425,20 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     if not live.size:
         return scores
 
-    x, _, drop = _anchored(b, power, deg, top, eps, t, tally)
-    value = top / x
-    todo = np.arange(live.size)
-    if drop is not None:
-        value[drop] = np.inf
-        todo = todo[~drop]
-        if not todo.size:
-            scores[live] = value
-            return scores
+    x, cap, drop = _anchored(b, power, deg, top, eps, t, tally)
+    value = top / np.where(drop, cap, x)
+    todo = np.flatnonzero(~drop)
     tol = np.maximum(eps, 64.0 * MACHINE_EPS * value)
-    back = np.minimum(np.maximum(eps * x * x / top, 16.0 * MACHINE_EPS * x) / (4.0 * deg), x)
+    back = np.minimum(np.maximum(eps * x * x / top / (4.0 * deg), 4.0 * MACHINE_EPS * x), x)
     orders = max(deg.max() + 1, 3)
-    for retry in range(_CERTIFICATE_RETRIES + 1):
+    passes = 0
+    while todo.size:
+        if passes > _CERTIFICATE_RETRIES:
+            row = todo[0]
+            raise CertificateViolation(
+                f"score {float(value[row])!r} of spectrum row {live[row]} could not be certified "
+                f"within {float(tol[row])!r}"
+            )
         z = x[todo] - back[todo]
         n = deg[todo]
         c, h = _taylor(z, b[todo], power + orders)
@@ -442,35 +448,26 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
         certified = _alternates(g, n) & (np.abs(v - top[todo] / (z + h * lower)) <= within) & (
             np.abs(v - top[todo] / (z + h * upper)) <= within)
         todo = todo[~certified]
-        if not todo.size:
-            if tally is not None:
-                tally.update(steps=retry + 1, retries=retry)
-            scores[live] = value
-            return scores
         back[todo] *= 4.0
-    row = todo[0]
-    raise CertificateViolation(
-        f"score {float(value[row])!r} of spectrum row {live[row]} could not be certified "
-        f"within {float(tol[row])!r}"
-    )
+        passes += 1
+    if tally is not None:
+        tally.update(steps=passes, retries=max(passes - 1, 0))
+    scores[live] = value
+    return scores
 
 
 def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=None,
                   t=None) -> np.ndarray:
     """Lower bounds of the scores of the ascending spectra in the rows of mu,
     as :func:`_root_scores` defines them, with no certificate pass: top / cap
-    for the cap of :func:`_laguerre`, or the exact scores at power 0.  With
-    a bound t, as in :func:`_root_scores`, a row certified to score at least
-    t has the floor inf."""
+    for the cap of :func:`_anchored` (at least t on a row it drops), or the
+    exact scores at power 0."""
     if power == 0:
         return _root_scores(mu, power, eps, noise)
     floors = np.zeros(mu.shape[0])
     live, top, deg, b = _live_rows(mu, power, noise)
     if live.size:
-        _, cap, drop = _anchored(b, power, deg, top, eps, t, tally)
-        floors[live] = top / cap
-        if drop is not None:
-            floors[live[drop]] = np.inf
+        floors[live] = top / _anchored(b, power, deg, top, eps, t, tally)[1]
     return floors
 
 
@@ -486,9 +483,10 @@ def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
     eigenproblem, Golub, SIAM Rev. 1973).  f increases, so its negative
     signs on a grid of _GRID points in the interval form a prefix, and the
     count of certified negatives indexes a point no higher than mu_i.  f on
-    the whole grid is one product w @ K, K[j, m] = near_m / (lam_j - x_m),
-    near_m the distance from x_m to the nearer end, so |K| <= 1 and a value
-    within (r + 10) ulps of 0 certifies no sign.  The widening covers the
+    the whole grid is w @ K, K[j, m] = near_m / (lam_j - x_m), near_m the
+    distance from x_m to the nearer end, so |K| <= 1 and a value within
+    (r + 10) ulps of 0 certifies no sign.  K covers all r - 1 intervals and
+    the candidates go through it in blocks.  The widening covers the
     backward error of eigh here and the cluster width and eigvalsh error of
     the exact path.  Intervals narrower than noise are not refined.
     """
@@ -502,22 +500,22 @@ def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
     live = gap > np.maximum(noise, 4.0 * (_GRID + 1) * MACHINE_EPS * np.maximum(-lo, hi))
     # grid[i] is lam_i, then the points inside interval i
     grid = lo[:, None] + gap[:, None] * (np.arange(_GRID + 1) / (_GRID + 1))
+    pts = grid[:, 1:]
+    near = np.minimum(pts - lo[:, None], hi[:, None] - pts).ravel()
+    kern = lam[:, None] - pts.ravel()  # divided in place: one r x (r - 1) _GRID array
+    refined = np.repeat(live, _GRID)
+    np.divide(near, kern, out=kern, where=refined[None, :])
+    kern[:, ~refined] = 0.0
     slack = (r + 10) * MACHINE_EPS
     lower = np.zeros((n, r))
-    # intervals and candidates per product, so K and its result stay in the block
-    span = max(1, _BLOCK_BYTES // (8 * _GRID * (r + n)))
-    rows = max(1, _BLOCK_BYTES // (8 * _GRID * span) - r)
-    for first in range(0, r - 1, span):
-        ints = np.arange(first, min(first + span, r - 1))
-        pts = grid[ints, 1:]
-        near = np.minimum(pts - lo[ints, None], hi[ints, None] - pts).ravel()
-        diff = lam[:, None] - pts.ravel()
-        kern = np.divide(near, diff, out=np.zeros_like(diff),
-                         where=np.repeat(live[ints], _GRID)[None, :])
-        for row in range(0, n, rows):
-            negative = w[row : row + rows] @ kern < -slack
-            count = negative.reshape(-1, ints.size, _GRID).sum(axis=2)
-            lower[row : row + rows, 1 + ints] = grid[ints, count]
+    # each product's result within half the block, below malloc's 128 KiB
+    # mmap threshold, so its memory is reused rather than mapped per block
+    rows = max(1, _BLOCK_BYTES // (16 * _GRID * r))
+    for first in range(0, n, rows):
+        negative = w[first : first + rows] @ kern < -slack
+        # the shape is explicit, as at r = 1 there are no intervals
+        count = negative.reshape(negative.shape[0], r - 1, _GRID).sum(axis=2)
+        lower[first : first + rows, 1:] = grid[np.arange(r - 1), count]
     lower[:, 1:] -= 2.0 * noise
     np.maximum(lower, 0.0, out=lower)
     return lower
@@ -635,11 +633,10 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
 
     t, above which no candidate can win while the score chain holds, starts
     the bracket pass's Laguerre runs (:func:`_anchored`) unless its root
-    count costs more than it saves (see the module docstring); a candidate
-    certified to score at least t gets no floor or no score, and when the
-    leader is one of them, every candidate with a floor is scored.  When no
-    candidate is left, the iteration is picked again without t, so that the
-    chain check sees the real winning score.
+    count costs more than it saves (see the module docstring).  A candidate
+    the count drops has a floor, and a score, of at least t: while the chain
+    holds it neither wins nor ties, and when the chain is broken the least
+    of these lower bounds is returned, which exceeds the chain bound.
     """
     cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
     u = state.e[:, cands].T
@@ -651,7 +648,7 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     count = cands.size
     basis = np.linalg.eigh(state.e @ state.e.T)
     tally = Counter()
-    scores = np.full(count, np.inf)  # inf: not scored, or certified at least t
+    scores = np.full(count, np.inf)  # inf: pruned, not scored
     todo = scored = np.ones(count, dtype=bool)
     if not state.tied and count > _BLOCK_BYTES // (8 * basis[0].size**2):
         if 2 * (np.count_nonzero(basis[0] > state.noise) - power + 1) > 3 * (power + 3):
@@ -659,11 +656,9 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
         floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise,
                                tally, t)
         first = int(np.argmin(floors))
-        if floors[first] == np.inf:
-            return _pick(state, power, eps, tie)
         best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, basis,
                                              tally, t)[0])
-        scored = (floors <= best + _margin(best, eps, tie)) & (floors < np.inf)
+        scored = floors <= best + _margin(best, eps, tie)
         scored[first] = True
         todo = scored.copy()
         todo[first] = False
@@ -671,10 +666,7 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
         t = None
     if todo.any():
         scores[todo] = _scores(state, u[todo], power, eps, basis, tally, t)
-    keep = scores < np.inf
-    if not keep.any():
-        return _pick(state, power, eps, tie)
-    low = float(scores[keep].min())
+    low = float(scores.min())
     state.tied = bool(np.all(scores <= low + _margin(low, eps, tie)))
     pos = int(np.argmax(scores <= low + tie))
     stats = IterationStats(count, int(np.count_nonzero(scored)), tally["steps"], tally["retries"])

@@ -452,7 +452,8 @@ class TestExitCodes:
 
     def test_chain_head_below_every_candidate_exits_3(self, capsys, monkeypatch):
         # a bracket-size input whose chain head is forced to 0: every
-        # candidate is dropped at the chain bound, then scored without it
+        # candidate is dropped at the chain bound, and the error reports
+        # the least of their certified lower bounds, which is finite
         import cssp.selector as selector_mod
 
         calls = []

@@ -120,8 +120,8 @@ class TestSelect:
 
     def test_chain_head_below_every_candidate_raises(self, monkeypatch):
         # the bracket pass's count drops every candidate at the lowered
-        # chain bound; the iteration is scored again without it, and the
-        # error reports the real winning score
+        # chain bound t; the one pick reports the least of their certified
+        # lower bounds, each at least t
         monkeypatch.setattr(selector_mod, "_root_scores", lowered_head(selector_mod._root_scores))
         bounds = []
         pick = selector_mod._pick
@@ -133,9 +133,9 @@ class TestSelect:
         monkeypatch.setattr(selector_mod, "_pick", recorded)
         with pytest.raises(CertificateViolation, match="score chain violated at iteration 1:") as err:
             select(random_gaussian(40, 80, 7), 20)
-        assert len(bounds) == 2 and bounds[0] > 0.0 and bounds[1] is None
+        assert len(bounds) == 1 and bounds[0] > 0.0
         best = float(str(err.value).split(": ")[1].split(" > ")[0])
-        assert 0.0 < best < np.inf
+        assert bounds[0] * (1.0 - MACHINE_EPS) <= best < np.inf
 
     def test_end_to_end_root_bound(self):
         # residual stays below the k-fold operator root plus 2 k eps
@@ -378,7 +378,8 @@ class TestStateConsistency:
             power = k - l - 1
             basis = np.linalg.eigh(state.e @ state.e.T)
             free = selector_mod._scores(state, u, power, eps, basis)
-            for t in (None, float(np.median(free))):
+            median = float(np.median(free))
+            for t in (None, median):
                 batched = selector_mod._scores(state, u, power, eps, basis, None, t)
                 alone = [selector_mod._scores(state, u[i : i + 1], power, eps, basis, None, t)[0]
                          for i in range(len(u))]
@@ -389,7 +390,10 @@ class TestStateConsistency:
                                                     None, t)[0] for i in range(len(u))]
                 assert np.array_equal(floors, alone)
             if free.max() > 1.01 * free.min():  # not the hard instance's one score
-                assert np.isinf(batched).any() and np.isfinite(batched).any()
+                mu = selector_mod._spectra(basis, u, state.noise)
+                _, top, deg, b = selector_mod._live_rows(mu, power, state.noise)
+                drop = selector_mod._anchored(b, power, deg, top, eps, median)[2]
+                assert drop.any() and not drop.all()
             selector_mod._advance(state, int(cands[np.argmin(free)]))
 
 
@@ -675,6 +679,22 @@ class TestProductFormScores:
             ref = _mp_score(mpmath, row, power, noise)
             assert abs(value - ref) <= max(eps, 64 * MACHINE_EPS * ref)
 
+    @pytest.mark.parametrize(
+        "args, power",
+        [((8, 40, 1e3, 1, 4, 18536), 20), ((8, 40, 1e3, 1, 2, 33181), 29),
+         ((8, 39, 1e3, 1, 0, 37702), 30), ((8, 40, 1e3, 0, 4, 55383), 24)],
+    )
+    def test_certificate_below_one_ulp_of_the_score(self, args, power):
+        # at eps = 1e-16 the certificate point still backs off by a few ulps
+        # of x, so it lies below x and these rows certify
+        mpmath = pytest.importorskip("mpmath")
+        mu = _count_spectra(*args)
+        noise = args[1] * MACHINE_EPS
+        got = selector_mod._root_scores(mu, power, 1e-16, noise)
+        for value, row in zip(got, mu):
+            ref = _mp_score(mpmath, row, power, noise)
+            assert abs(value - ref) <= max(1e-16, 64 * MACHINE_EPS * ref)
+
 
 def _refused(*args):
     raise AssertionError("Taylor expansion ran")
@@ -728,15 +748,14 @@ class TestAnchoredCount:
         seed=st.integers(0, 2**16),
         power_frac=st.floats(0.0, 1.0),
         shift=st.floats(-0.5, 0.5),
-        eps=st.sampled_from([1e-9, 1e-13]),
+        eps=st.sampled_from([1e-9, 1e-13, 1e-16]),
     )
     def test_count_against_unanchored_scores(self, r, spread, zeros, cluster, seed, power_frac,
                                              shift, eps):
-        # a row the count drops scores above t, up to the score tolerance;
-        # a kept row's anchored score is within the tolerance of its
-        # unanchored one, and its anchored floor stays below.  (At eps near
-        # the rounding level the certificate itself fails on a few such
-        # spectra, anchored or not, so eps stays above it.)
+        # a row the count drops has a floor and a value at least t and no
+        # more than its unanchored score, up to the score tolerance; a kept
+        # row's anchored score is within the tolerance of its unanchored
+        # one, and its anchored floor stays below
         mu = _count_spectra(8, r, spread, min(zeros, r - 1), min(cluster, r), seed)
         noise = r * MACHINE_EPS
         left = r - min(zeros, r - 1)
@@ -746,20 +765,23 @@ class TestAnchoredCount:
         t = max(float(free[rng.integers(free.size)]), eps) * 10.0**shift
         anchored = selector_mod._root_scores(mu, power, eps, noise, None, t)
         floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
-        slack = max(eps, 64 * MACHINE_EPS * t)
-        for dropped in (anchored == np.inf, floors == np.inf):
-            assert np.all(free[dropped] > t - slack)
-        kept = anchored < np.inf
-        assert np.all(np.abs(anchored[kept] - free[kept])
-                      <= np.maximum(eps, 64 * MACHINE_EPS * free[kept]))
-        low = floors < np.inf
-        assert np.all(floors[low] <= free[low] + np.maximum(eps, 64 * MACHINE_EPS * free[low]))
+        live, top, deg, b = selector_mod._live_rows(mu, power, noise)
+        drop = np.zeros(mu.shape[0], dtype=bool)
+        drop[live] = selector_mod._anchored(b, power, deg, top, eps, t)[2]
+        tol = np.maximum(eps, 64 * MACHINE_EPS * free)
+        for got in (anchored, floors):
+            assert np.all(got[drop] >= t * (1.0 - MACHINE_EPS))
+            assert np.all(got[drop] <= free[drop] + tol[drop])
+        kept = ~drop
+        assert np.all(np.abs(anchored[kept] - free[kept]) <= tol[kept])
+        assert np.all(floors[kept] <= free[kept] + tol[kept])
 
     def test_count_decides_rows(self):
-        # t between the scores: the row above it is dropped, the row below
-        # is anchored; a top entry repeated past the power puts a root of g
-        # exactly at x0 = 1 (top below t), which the count leaves undecided
-        # (its lowest orders are exact zeros), so that row runs from 1
+        # t between the scores: the row above it is dropped and keeps
+        # x0 = top / t as its cap, the row below is anchored; a top entry
+        # repeated past the power puts a root of g exactly at x0 = 1 (top
+        # below t), which the count leaves undecided (its lowest orders are
+        # exact zeros), so that row runs from 1
         mu = np.array([[0.0, 0.01, 0.1, 0.5, 1.0], [0.0, 0.001, 0.002, 0.003, 1.0],
                        [0.0, 0.02, 0.1, 0.1, 0.1]])
         power, noise, eps = 2, 5 * MACHINE_EPS, 1e-12
@@ -772,9 +794,14 @@ class TestAnchoredCount:
         assert top[1] / t < x[1] <= cap[1]
         assert x[1] == pytest.approx(top[1] / free[1], rel=1e-12)
         assert x[2] == cap[2] == 1.0
+        assert cap[0] == top[0] / t
+        tol = np.maximum(eps, 64 * MACHINE_EPS * free)
         scores = selector_mod._root_scores(mu, power, eps, noise, None, t)
-        assert scores[0] == np.inf and scores[2] == free[2]
-        assert abs(scores[1] - free[1]) <= max(eps, 64 * MACHINE_EPS * free[1])
+        floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
+        for got in (scores[0], floors[0]):
+            assert t * (1.0 - MACHINE_EPS) <= got <= free[0] + tol[0]
+        assert scores[2] == free[2]
+        assert abs(scores[1] - free[1]) <= tol[1]
 
 
     @pytest.mark.parametrize("t", [None, 0.5, 2.0])
@@ -963,6 +990,13 @@ class TestBracketPass:
                 exact = selector_mod._root_scores(spectra, power, 1e-9, state.noise)
                 assert np.all(floors <= exact + np.maximum(1e-9, 64 * MACHINE_EPS * exact))
 
+    def test_lower_ends_at_rank_one(self):
+        # no interlacing interval: each spectrum is its direction's 0
+        state = initial_state(random_gaussian(1, 50, 1))
+        basis = np.linalg.eigh(state.e @ state.e.T)
+        lower = selector_mod._lower_spectra(state.e.T, state.noise, basis)
+        assert np.array_equal(lower, np.zeros((50, 1)))
+
     def test_lower_ends_refine_interlacing(self):
         # the sign tests lift most lower ends above the interlacing bound
         state = initial_state(random_gaussian(40, 80, 7))
@@ -1126,7 +1160,7 @@ class TestSelectionStats:
         monkeypatch.setattr(selector_mod, "_taylor", counted)
         monkeypatch.setattr(selector_mod, "_pick", tracked)
         # an eps at the rounding level makes the certificate back off
-        result = select(random_gaussian(40, 80, 7), 20, eps=1e-16)
+        result = select(power_law(64, 64, 64, 2.0, 1.0, 7), 52, eps=1e-16)
         assert calls[1:] == [s.steps for s in result.stats]
         assert sum(s.retries for s in result.stats) > 0
 
