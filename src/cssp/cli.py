@@ -19,17 +19,17 @@ import sys
 import time
 from dataclasses import replace
 
-from .bounds import hard_instance_bounds, residual_bound, spectrum_info, spectrum_of
+from .bounds import hard_instance_bounds, residual_bound, spectrum_info
 from .errors import (
     AllCandidatesDegenerate,
     CertificateViolation,
     CsspError,
     DegenerateDirection,
-    EmptySpectrum,
     NoRootInRange,
     ZeroPolynomial,
 )
 from .instances import hard_instance, power_law, random_gaussian
+from .linalg import gram_spectrum
 from .mmio import load_matrix, save_matrix_market
 from .oracle import IDENTITY_TOLERANCES, run_identity_suite
 from .selector import DEFAULT_EPS, _check_rank, _select, initial_state, select
@@ -178,9 +178,9 @@ def _cmd_select(args) -> int:
 
 def _cmd_bound(args) -> int:
     matrix, source = _get_matrix(args)
-    info = spectrum_of(matrix)
-    _check_rank(args.k, info.t)
-    bnd = residual_bound(info, args.k)
+    eigs, _ = gram_spectrum(matrix)
+    _check_rank(args.k, eigs.size)
+    bnd = residual_bound(spectrum_info(eigs), args.k)
     report = _base_report("bound", source, args)
     report.update(
         bound=bnd.bound,
@@ -238,16 +238,15 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     matrix, source = _get_matrix(args)
     state = initial_state(matrix)  # one spectrum and one QR for every k
-    if not state.eigs.size:
-        raise EmptySpectrum("matrix has numerical rank zero")
-    info = spectrum_info(state.eigs)
+    rank = state.eigs.size
     k_lo = args.kmin if args.kmin is not None else 1
-    k_hi = args.kmax if args.kmax is not None else max(info.t - 1, 1)
+    k_hi = args.kmax if args.kmax is not None else max(rank - 1, 1)
     if k_lo > k_hi:
         raise ValueError(f"empty k range: kmin={k_lo} > kmax={k_hi}")
     ks = range(k_lo, k_hi + 1)
     for k in ks:
-        _check_rank(k, info.t)
+        _check_rank(k, rank)
+    info = spectrum_info(state.eigs)
     rows = []
     for k in ks:
         result = _select(matrix, replace(state, chosen=[]), k, args.eps, time.perf_counter())

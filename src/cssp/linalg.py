@@ -141,28 +141,24 @@ def check_subset(subset, n_cols: int) -> list[int]:
 
 
 def _span_basis(arr: np.ndarray, idx: list[int], rank: int, tol: float) -> np.ndarray:
-    """Orthonormal basis of the columns idx of arr by Gram-Schmidt with one
-    re-orthogonalisation.  Columns within tol of the running span are
-    skipped; the loop stops at rank columns, where the span is the whole
-    column space and leftover rounding must not pass for one more direction.
+    """Orthonormal basis of the columns idx of arr, by LAPACK's QR of the
+    first rank of them.  |R_jj| is column j's distance to the span of the
+    kept columns before it: the first with |R_jj| <= tol is dropped and the
+    QR taken again.  At rank columns the span is the whole column space,
+    where leftover rounding must not pass for one more direction.
     """
-    basis = np.zeros((arr.shape[0], 0))
-    for j in idx:
-        if basis.shape[1] == rank:
-            break
-        v = arr[:, j] - basis @ (basis.T @ arr[:, j])
-        norm = float(np.linalg.norm(v))
-        if norm <= tol:
-            continue
-        v = v / norm
-        v -= basis @ (basis.T @ v)
-        basis = np.column_stack([basis, v / np.linalg.norm(v)])
-    return basis
+    keep = list(idx)
+    while True:
+        basis, r = np.linalg.qr(arr[:, keep[:rank]])
+        dependent = np.flatnonzero(np.abs(np.diag(r)) <= tol)
+        if not dependent.size:
+            return basis
+        del keep[dependent[0]]
 
 
 def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
     """Projector I - B B^T onto the orthogonal complement of the selected
-    columns, B the basis of :func:`_span_basis` (tol defaults to the rank
+    columns, B the QR basis of :func:`_span_basis` (tol defaults to the rank
     tolerance of A)."""
     arr = as_matrix(a)
     idx = check_subset(subset, arr.shape[1])
@@ -172,7 +168,7 @@ def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
 
 
 def _residual_sq(arr: np.ndarray, idx: list[int], rank: int, tol: float) -> float:
-    """sigma_max(A - B B^T A)^2 for the basis B of :func:`_span_basis`."""
+    """sigma_max(A - B B^T A)^2 for the QR basis B of :func:`_span_basis`."""
     basis = _span_basis(arr, idx, rank, tol)
     resid = arr - basis @ (basis.T @ arr)
     return float(np.linalg.svd(resid, compute_uv=False)[0]) ** 2

@@ -1,12 +1,14 @@
 """Exhaustive optima and identity checks for desk-scale instances.
 
 Everything here exists to certify the fast path from an independent angle:
-residuals come from numpy's SVD and pseudoinverse, not from a Gram-Schmidt
-basis, determinants are cross-checked between a factored product and numpy,
-and the operator identity is tested against a literal weighted subset sum.
-Each subset's complement projector Q_S comes from the rank-one updates of
-that factored determinant, under one rank tolerance of A, so enumerating
-subsets takes no SVD of A per subset.
+residuals come from numpy's SVD and pseudoinverse or from projectors built
+by rank-one updates, never from the QR basis of `linalg`, determinants are
+cross-checked between a factored product and numpy, and the operator
+identity is tested against a literal weighted subset sum.  Each subset's
+complement projector Q_S comes from the rank-one updates of that factored
+determinant, under one rank tolerance of A, so enumerating subsets takes no
+SVD of A per subset, and the volume-weighted means take their residuals as
+Q_S A.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _residual_poly(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
 def svd_residual_sq(a, cols) -> float:
     """Squared spectral residual through numpy's SVD and pseudoinverse.
 
-    Deliberately shares no code with the Gram-Schmidt basis of
+    Deliberately shares no code with the QR basis of
     `linalg.residual_spectral_sq`, which it checks.
     """
     arr = as_matrix(a)
@@ -202,8 +204,8 @@ def volume_mean_residual(a) -> float:
         raise EmptySpectrum("matrix has numerical rank zero")
     num = 0.0
     den = 0.0
-    for s, det, _ in _volume_weighted(arr, t - 1):
-        num += det * svd_residual_sq(arr, s)
+    for _, det, q in _volume_weighted(arr, t - 1):
+        num += det * float(np.linalg.svd(q @ arr, compute_uv=False)[0]) ** 2
         den += det
     return num / den
 
@@ -223,10 +225,8 @@ def volume_mean_frobenius_enumerated(a, k: int) -> float:
     arr = as_matrix(a)
     num = 0.0
     den = 0.0
-    for s, det, _ in _volume_weighted(arr, int(k)):
-        cols = list(s)
-        sub = arr[:, cols]
-        resid = arr - sub @ np.linalg.pinv(sub) @ arr if cols else arr
+    for _, det, q in _volume_weighted(arr, int(k)):
+        resid = q @ arr
         num += det * float(np.sum(resid * resid))
         den += det
     return num / den

@@ -475,6 +475,17 @@ class TestExitCodes:
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n")
         assert main(["select", "--input", str(path), "-k", "1"]) == 1
 
+    def test_rank_zero_input_names_k_and_rank_in_every_command(self, capsys, tmp_path):
+        path = tmp_path / "zero.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 3\n" + "0\n" * 6)
+        for argv in (["select", "-k", "1"], ["verify", "-k", "1"], ["bound", "-k", "1"],
+                     ["bench"]):
+            code = main([*argv, "--input", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert captured.out == ""
+            assert "k=1 outside [1, rank=0]" in captured.err, argv
+
 
 class TestDeterminism:
     def test_byte_identical_reports_across_threads(self):

@@ -195,6 +195,33 @@ class TestResidual:
             ref = residual_spectral_sq(a, s)
             assert abs(norm_sq - ref) <= 1e-9 * max(1.0, ref)
 
+    @pytest.mark.parametrize("case", ["sum-of-two", "repeats", "rank-cap", "all-zero"])
+    def test_dependent_columns_match_svd_route(self, case):
+        from cssp.oracle import svd_residual_sq
+
+        g = random_gaussian(6, 4, 5)
+        if case == "sum-of-two":  # column 3 = column 0 + column 2, then one more
+            a = np.column_stack([g[:, 0], g[:, 1], g[:, 2], g[:, 0] + g[:, 2]])
+            s, rank_s = [0, 2, 3, 1], 3
+        elif case == "repeats":  # u, v, u, v, w chosen; z keeps rank(A) above the cap
+            u, v, w, z = g.T
+            a = np.column_stack([u, v, u, w, v, z])
+            s, rank_s = [0, 1, 2, 4, 3], 3
+        elif case == "rank-cap":
+            # six columns of a rank-2 wide product whose first two are nearly
+            # parallel: rounding leaves the third 1e-10 off their span, above tol
+            c = random_gaussian(2, 9, 6)
+            c[:, 1] = c[:, 0] + 1e-6 * c[:, 1]
+            a = g[:, :2] @ c
+            s, rank_s = [0, 1, 2, 3, 4, 5], 2
+        else:
+            a = np.zeros((3, 4))
+            s, rank_s = [1, 2], 0
+        q = complement_projector(a, s)
+        assert abs(np.trace(q) - (a.shape[0] - rank_s)) <= 1e-9
+        mine = residual_spectral_sq(a, s)
+        assert abs(mine - svd_residual_sq(a, s)) <= 1e-12 * spectral_norm_sq(a)
+
     def test_monotone_under_superset(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
