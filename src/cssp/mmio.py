@@ -7,6 +7,8 @@ for a bit-exact double round trip.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
@@ -37,22 +39,18 @@ def _parse_int(tok: str, lineno: int, line: str) -> int:
         _fail(f"expected an integer, got {tok!r}", lineno, line, tok)
 
 
-def _data_lines(lines):
-    """Yield (lineno, stripped line) skipping comments and blanks."""
-    for lineno, raw in lines:
+def _data_lines(lines, start: int):
+    """Yield (lineno, stripped line) of lines numbered from start, skipping
+    comments and blanks."""
+    for lineno, raw in enumerate(lines, start):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
             continue
         yield lineno, stripped
 
 
-def _array_entries(data) -> list[float]:
-    """The entries of the (lineno, line) pairs of data, parsed token by
-    token, so that a bad token raises ParseError with its line and column."""
-    return [_parse_real(tok, lineno, line) for lineno, line in data for tok in line.split()]
-
-
-def _load_matrix_market(lines, first_line: str) -> np.ndarray:
+def _load_matrix_market(fh, first_line: str) -> np.ndarray:
+    """The matrix of fh, a Matrix Market file read through first_line."""
     parts = first_line.strip().split()
     if len(parts) != 5 or parts[1].lower() != "matrix":
         _fail("malformed header, expected "
@@ -66,31 +64,34 @@ def _load_matrix_market(lines, first_line: str) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         _fail(f"unsupported symmetry {symmetry!r}", 1, first_line, parts[4])
 
-    stream = _data_lines(lines)
-    try:
-        lineno, size_line = next(stream)
-    except StopIteration:
+    stream = _data_lines(fh, 2)
+    lineno, size_line = next(stream, (1, None))
+    if size_line is None:
         raise ParseError("missing size line", line=1)
     toks = size_line.split()
+    if fmt == "array" and len(toks) != 2:
+        _fail("array size line must be '<rows> <cols>'", lineno, size_line)
+    if fmt == "coordinate" and len(toks) != 3:
+        _fail("coordinate size line must be '<rows> <cols> <nnz>'", lineno, size_line)
+    dims = [_parse_int(tok, lineno, size_line) for tok in toks]
+    n_rows, n_cols = dims[:2]
+    if n_rows < 1 or n_cols < 1 or dims[-1] < 0:  # dims[-1] is nnz in coordinate files
+        _fail("dimensions must be positive", lineno, size_line)
+    if symmetry == "symmetric" and n_rows != n_cols:
+        _fail("symmetric storage needs a square matrix", lineno, size_line)
 
     if fmt == "array":
-        if len(toks) != 2:
-            _fail("array size line must be '<rows> <cols>'", lineno, size_line)
-        n_rows = _parse_int(toks[0], lineno, size_line)
-        n_cols = _parse_int(toks[1], lineno, size_line)
-        if n_rows < 1 or n_cols < 1:
-            _fail("dimensions must be positive", lineno, size_line)
-        if symmetry == "symmetric" and n_rows != n_cols:
-            _fail("symmetric storage needs a square matrix", lineno, size_line)
-        rest = list(lines)  # the stream has consumed lines through the size line
-        text = "".join(raw for _, raw in rest)
-        if "%" in text:  # comment lines among the entries
-            text = " ".join(line for _, line in _data_lines(rest))
+        body = fh.read()  # the stream has consumed lines through the size line
+        text = body
+        if "%" in body:  # comment lines among the entries
+            text = " ".join(line for _, line in _data_lines(body.split("\n"), lineno + 1))
         tokens = text.split()
         try:
             values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
         except ValueError:  # token by token, to name the bad token's position
-            values = np.array(_array_entries(_data_lines(rest)))
+            values = np.array([_parse_real(tok, n, line)
+                               for n, line in _data_lines(body.split("\n"), lineno + 1)
+                               for tok in line.split()])
         count = n_rows * n_cols if symmetry == "general" else n_rows * (n_rows + 1) // 2
         if values.size != count:
             raise DimensionMismatch(f"expected {count} entries, found {values.size}")
@@ -103,15 +104,6 @@ def _load_matrix_market(lines, first_line: str) -> np.ndarray:
         out[j, i] = values
         return out
 
-    if len(toks) != 3:
-        _fail("coordinate size line must be '<rows> <cols> <nnz>'", lineno, size_line)
-    n_rows = _parse_int(toks[0], lineno, size_line)
-    n_cols = _parse_int(toks[1], lineno, size_line)
-    nnz = _parse_int(toks[2], lineno, size_line)
-    if n_rows < 1 or n_cols < 1 or nnz < 0:
-        _fail("dimensions must be positive", lineno, size_line)
-    if symmetry == "symmetric" and n_rows != n_cols:
-        _fail("symmetric storage needs a square matrix", lineno, size_line)
     out = np.zeros((n_rows, n_cols))
     seen = 0
     first = {}  # the line of each position's entry
@@ -133,15 +125,15 @@ def _load_matrix_market(lines, first_line: str) -> np.ndarray:
         if symmetry == "symmetric":
             out[j - 1, i - 1] = val
         seen += 1
-    if seen != nnz:
-        raise DimensionMismatch(f"size line promised {nnz} entries, found {seen}")
+    if seen != dims[2]:
+        raise DimensionMismatch(f"size line promised {dims[2]} entries, found {seen}")
     return out
 
 
 def _load_csv(lines) -> np.ndarray:
     rows = []
     width = None
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(lines, 1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -166,14 +158,13 @@ def load_matrix(path, transpose: bool = False) -> np.ndarray:
     to full storage.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    if not raw:
-        raise ParseError("empty file", line=1)
-    numbered = list(enumerate(raw, start=1))
-    if raw[0].startswith(_MM_BANNER):
-        out = _load_matrix_market(iter(numbered[1:]), raw[0])
-    else:
-        out = _load_csv(iter(numbered))
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", line=1)
+        if first.startswith(_MM_BANNER):
+            out = _load_matrix_market(fh, first)
+        else:
+            out = _load_csv(itertools.chain([first], fh))
     if transpose:
         out = out.T
     return as_matrix(out)
@@ -186,9 +177,7 @@ def save_matrix_market(path, a) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{n_rows} {n_cols}\n")
-        for j in range(n_cols):
-            for i in range(n_rows):
-                fh.write(f"{arr[i, j]:.17g}\n")
+        fh.writelines(f"{x:.17g}\n" for x in arr.T.flat)  # column-major, no copy
 
 
 def save_csv(path, a) -> None:

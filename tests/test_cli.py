@@ -106,7 +106,7 @@ class TestSelectCommand:
                           "-k", "3")
         assert code == 1
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "abc"])
     def test_bad_eps_is_usage_error(self, capsys, eps):
         code = main(["select", "--instance", "random:n=6,d=8,seed=3", "-k", "3",
                      f"--eps={eps}", "--format", "json"])
@@ -296,6 +296,14 @@ class TestGenAndBench:
         assert lines[0].startswith("k,residual_sq,bound")
         assert len(lines) == 3
 
+    def test_bench_text(self, capsys):
+        code, out = run_cli(capsys, "bench", "--instance", "hard:d=4,delta=1",
+                            "--kmin", "2", "--kmax", "3", "--format", "text")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("  ")]
+        assert [row.split()[0] for row in rows] == ["k=2", "k=3"]
+        assert all(" residual_sq=" in row and " lower_bound=" in row for row in rows)
+
     def test_bench_rows_match_select(self, capsys):
         code, out = run_cli(capsys, "bench", "--instance", "random:n=6,d=8,seed=3",
                             "--format", "json")
@@ -469,6 +477,27 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "score chain violated at iteration 1:" in err and "inf" not in err
+
+    def test_uncertified_score_exits_3(self, capsys, monkeypatch):
+        import cssp.selector as selector_mod
+
+        monkeypatch.setattr(selector_mod, "_CERTIFICATE_RETRIES", -1)
+        code = main(["select", "--instance", "random:n=6,d=6,seed=0", "-k", "3"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: score ") and "could not be certified" in err
+
+    def test_residual_above_last_root_exits_3(self, capsys, monkeypatch):
+        import cssp.selector as selector_mod
+
+        a = parse_instance_spec("random:n=6,d=6,seed=0")
+        root = select(a, 3).iteration_roots[-1].value
+        residual = 2.0 * root + initial_state(a).eigs[0]
+        monkeypatch.setattr(selector_mod, "_residual_sq", lambda *args: residual)
+        code = main(["select", "--instance", "random:n=6,d=6,seed=0", "-k", "3"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: final residual {residual!r} exceeds its certified root {root!r}\n")
 
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = tmp_path / "short.mtx"

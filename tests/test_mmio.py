@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cssp.errors import DimensionMismatch, ParseError
+from cssp.errors import CsspError, DimensionMismatch, ParseError
 from cssp.instances import hard_instance, random_gaussian
 from cssp.mmio import load_matrix, save_csv, save_matrix_market
 
@@ -42,6 +42,11 @@ class TestMatrixMarket:
         expect[0, 1] = 5.0
         expect[1, 2] = -1.0
         assert np.array_equal(load_matrix(path), expect)
+
+    def test_coordinate_without_entries(self, tmp_path):
+        path = tmp_path / "c0.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 0\n")
+        assert np.array_equal(load_matrix(path), np.zeros((2, 3)))
 
     def test_coordinate_symmetric(self, tmp_path):
         path = tmp_path / "cs.mtx"
@@ -132,7 +137,77 @@ class TestMatrixMarket:
         assert np.array_equal(load_matrix(path), [[0.0, 8.0], [7.0, 0.0]])
 
 
+_HEADER_EXPECTED = "malformed header, expected '%%MatrixMarket matrix <format> <field> <symmetry>'"
+
+# file bytes -> (exception type, message, line, column) of the loader's error
+_LOAD_ERRORS = [
+    (b"", ParseError, "empty file", 1, None),
+    (b"%%MatrixMarket\n", ParseError, _HEADER_EXPECTED, 1, None),
+    (b"%%MatrixMarket vector array real general\n1 1\n1\n",
+     ParseError, _HEADER_EXPECTED, 1, 16),
+    (b"%%MatrixMarket matrix array complex general\n1 1\n1\n",
+     ParseError, "unsupported field 'complex'", 1, 29),
+    (b"%%MatrixMarket matrix array real hermitian\n1 1\n1\n",
+     ParseError, "unsupported symmetry 'hermitian'", 1, 34),
+    (b"%%MatrixMarket matrix array real general\n% only a comment\n\n",
+     ParseError, "missing size line", 1, None),
+    (b"%%MatrixMarket matrix array real general\n2 x\n1\n2\n",
+     ParseError, "expected an integer, got 'x'", 2, 3),
+    (b"%%MatrixMarket matrix array real general\n2 2 4\n",
+     ParseError, "array size line must be '<rows> <cols>'", 2, None),
+    (b"%%MatrixMarket matrix coordinate real general\n2 2\n",
+     ParseError, "coordinate size line must be '<rows> <cols> <nnz>'", 2, None),
+    (b"%%MatrixMarket matrix array real general\n0 2\n",
+     ParseError, "dimensions must be positive", 2, None),
+    (b"%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+     ParseError, "dimensions must be positive", 2, None),
+    (b"%%MatrixMarket matrix array real symmetric\n2 3\n",
+     ParseError, "symmetric storage needs a square matrix", 2, None),
+    (b"%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n",
+     ParseError, "symmetric storage needs a square matrix", 2, None),
+    (b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n",
+     ParseError, "coordinate entries are '<row> <col> <value>'", 3, None),
+    (b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n",
+     DimensionMismatch, "size line promised 2 entries, found 1", None, None),
+    (b"%%MatrixMarket matrix coordinate real general\n% c\n2 2 1\n% mid\n1 y 2\n",
+     ParseError, "expected an integer, got 'y'", 5, 3),
+    # array columns count from the first non-blank character of the line
+    (b"%%MatrixMarket matrix array real general\n2 1\n1\n   x1\n",
+     ParseError, "expected a real number, got 'x1'", 4, 1),
+    (b"%%MatrixMarket matrix array real general\n3 1\n1 % 2\n",
+     ParseError, "expected a real number, got '%'", 3, 3),
+    (b"%%MatrixMarket matrix array real general\r\n2 1\r\n1\r\nq\r\n",
+     ParseError, "expected a real number, got 'q'", 4, 1),
+    (b"\n  \n", ParseError, "file contains no data", 1, None),
+    (b"1,2\n\n3,x\n", ParseError, "expected a real number, got 'x'", 3, 3),
+    # CSV columns count from the start of the line
+    (b" 1, x\n", ParseError, "expected a real number, got 'x'", 1, 5),
+]
+
+
+@pytest.mark.parametrize("data, exc, message, line, column", _LOAD_ERRORS)
+def test_load_error_is_pinned(tmp_path, data, exc, message, line, column):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(CsspError) as err:
+        load_matrix(path)
+    where = "" if line is None else f" (line {line}" + (f", col {column})" if column else ")")
+    assert type(err.value) is exc
+    assert str(err.value) == message + where
+    assert (getattr(err.value, "line", None), getattr(err.value, "column", None)) == (line, column)
+
+
 class TestExtremeValues:
+    def test_matrix_market_bytes(self, tmp_path):
+        # column-major, 17 significant digits, signed zero and subnormals kept
+        path = tmp_path / "x.mtx"
+        save_matrix_market(path, np.array([[np.pi, -0.0, 1.0], [1e-320, 1e300, -2.5]]))
+        assert path.read_bytes() == (
+            b"%%MatrixMarket matrix array real general\n2 3\n"
+            b"3.1415926535897931\n9.9998886718268301e-321\n-0\n"
+            b"1.0000000000000001e+300\n1\n-2.5\n"
+        )
+
     def test_round_trip_extremes(self, tmp_path):
         a = np.array([
             [1e300, -1e-300, 0.0],

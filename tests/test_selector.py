@@ -54,6 +54,19 @@ class TestCandidateScore:
         with pytest.raises(DegenerateDirection):
             candidate_score(state, 1, 2)
 
+    def test_bad_requests_raise(self):
+        from cssp.selector import _advance
+
+        state = initial_state(random_gaussian(4, 4, 0))
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match=f"column index {i} out of range"):
+                candidate_score(state, i, 2)
+        _advance(state, 1)
+        with pytest.raises(ValueError, match="column 1 already selected"):
+            candidate_score(state, 1, 2)
+        with pytest.raises(ValueError, match="selection already holds k columns"):
+            candidate_score(state, 0, 1)
+
     def test_scores_scale_with_the_input(self):
         # far from unit scale the scores are the unscaled ones times f^2,
         # and the best of them is select's first pick
@@ -117,6 +130,22 @@ class TestSelect:
         monkeypatch.setattr(selector_mod, "_root_scores", rising_scores(selector_mod._root_scores))
         with pytest.raises(CertificateViolation, match="score chain violated at iteration 1:"):
             select(random_gaussian(6, 6, 0), 3)
+
+    def test_uncertified_score_raises(self, monkeypatch):
+        # with no pass allowed, the first score the Taylor loop refines fails
+        monkeypatch.setattr(selector_mod, "_CERTIFICATE_RETRIES", -1)
+        with pytest.raises(CertificateViolation,
+                           match=r"^score \S+ of spectrum row \d+ could not be certified within \S+$"):
+            select(random_gaussian(6, 6, 0), 3)
+
+    def test_residual_above_last_root_raises(self, monkeypatch):
+        a = random_gaussian(6, 6, 0)
+        root = select(a, 3).iteration_roots[-1].value
+        residual = 2.0 * root + spectrum_of(a).eigs[0]
+        monkeypatch.setattr(selector_mod, "_residual_sq", lambda *args: residual)
+        with pytest.raises(CertificateViolation) as err:
+            select(a, 3)
+        assert str(err.value) == f"final residual {residual!r} exceeds its certified root {root!r}"
 
     def test_chain_head_below_every_candidate_raises(self, monkeypatch):
         # the bracket pass's count drops every candidate at the lowered
