@@ -8,6 +8,7 @@ for a bit-exact double round trip.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -17,26 +18,32 @@ from .linalg import as_matrix
 _MM_BANNER = "%%MatrixMarket"
 
 
-def _fail(msg: str, lineno: int, line: str, token: str | None = None):
+def _fail(msg: str, lineno: int, line: str, index: int | None = None, sep: str | None = None):
+    """Raise ParseError at line lineno and, given index, at the column of the
+    index-th token of line, split on sep or, when sep is None, on whitespace."""
     col = None
-    if token is not None:
-        pos = line.find(token)
-        col = pos + 1 if pos >= 0 else None
+    if index is not None and sep is None:
+        col = [m.start() for m in re.finditer(r"\S+", line)][index] + 1
+    elif index is not None:
+        fields = line.split(sep)
+        field = fields[index]
+        col = sum(len(f) + len(sep) for f in fields[:index]) + len(field) - len(field.lstrip()) + 1
     raise ParseError(msg, line=lineno, column=col)
 
 
-def _parse_real(tok: str, lineno: int, line: str) -> float:
+def _parse_real(tok: str, lineno: int, line: str, index: int, sep: str | None = None) -> float:
+    """tok, the index-th token of line (see :func:`_fail`), as a float."""
     try:
         return float(tok)
     except ValueError:
-        _fail(f"expected a real number, got {tok!r}", lineno, line, tok)
+        _fail(f"expected a real number, got {tok!r}", lineno, line, index, sep)
 
 
-def _parse_int(tok: str, lineno: int, line: str) -> int:
+def _parse_int(tok: str, lineno: int, line: str, index: int) -> int:
     try:
         return int(tok)
     except ValueError:
-        _fail(f"expected an integer, got {tok!r}", lineno, line, tok)
+        _fail(f"expected an integer, got {tok!r}", lineno, line, index)
 
 
 def _data_lines(lines, start: int):
@@ -55,14 +62,14 @@ def _load_matrix_market(fh, first_line: str) -> np.ndarray:
     if len(parts) != 5 or parts[1].lower() != "matrix":
         _fail("malformed header, expected "
               "'%%MatrixMarket matrix <format> <field> <symmetry>'", 1, first_line,
-              parts[1] if len(parts) > 1 else None)
+              1 if len(parts) > 1 else None)
     fmt, field, symmetry = (p.lower() for p in parts[2:5])
     if fmt not in ("array", "coordinate"):
-        _fail(f"unsupported format {fmt!r}", 1, first_line, parts[2])
+        _fail(f"unsupported format {fmt!r}", 1, first_line, 2)
     if field not in ("real", "integer"):
-        _fail(f"unsupported field {field!r}", 1, first_line, parts[3])
+        _fail(f"unsupported field {field!r}", 1, first_line, 3)
     if symmetry not in ("general", "symmetric"):
-        _fail(f"unsupported symmetry {symmetry!r}", 1, first_line, parts[4])
+        _fail(f"unsupported symmetry {symmetry!r}", 1, first_line, 4)
 
     stream = _data_lines(fh, 2)
     lineno, size_line = next(stream, (1, None))
@@ -73,7 +80,7 @@ def _load_matrix_market(fh, first_line: str) -> np.ndarray:
         _fail("array size line must be '<rows> <cols>'", lineno, size_line)
     if fmt == "coordinate" and len(toks) != 3:
         _fail("coordinate size line must be '<rows> <cols> <nnz>'", lineno, size_line)
-    dims = [_parse_int(tok, lineno, size_line) for tok in toks]
+    dims = [_parse_int(tok, lineno, size_line, i) for i, tok in enumerate(toks)]
     n_rows, n_cols = dims[:2]
     if n_rows < 1 or n_cols < 1 or dims[-1] < 0:  # dims[-1] is nnz in coordinate files
         _fail("dimensions must be positive", lineno, size_line)
@@ -89,9 +96,9 @@ def _load_matrix_market(fh, first_line: str) -> np.ndarray:
         try:
             values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
         except ValueError:  # token by token, to name the bad token's position
-            values = np.array([_parse_real(tok, n, line)
+            values = np.array([_parse_real(tok, n, line, i)
                                for n, line in _data_lines(body.split("\n"), lineno + 1)
-                               for tok in line.split()])
+                               for i, tok in enumerate(line.split())])
         count = n_rows * n_cols if symmetry == "general" else n_rows * (n_rows + 1) // 2
         if values.size != count:
             raise DimensionMismatch(f"expected {count} entries, found {values.size}")
@@ -111,15 +118,15 @@ def _load_matrix_market(fh, first_line: str) -> np.ndarray:
         toks = line.split()
         if len(toks) != 3:
             _fail("coordinate entries are '<row> <col> <value>'", lineno, line)
-        i = _parse_int(toks[0], lineno, line)
-        j = _parse_int(toks[1], lineno, line)
-        val = _parse_real(toks[2], lineno, line)
+        i = _parse_int(toks[0], lineno, line, 0)
+        j = _parse_int(toks[1], lineno, line, 1)
+        val = _parse_real(toks[2], lineno, line, 2)
         if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-            _fail(f"index ({i}, {j}) outside {n_rows} x {n_cols}", lineno, line, toks[0])
+            _fail(f"index ({i}, {j}) outside {n_rows} x {n_cols}", lineno, line, 0)
         # under symmetric storage an entry also sets its mirror
         key = (min(i, j), max(i, j)) if symmetry == "symmetric" else (i, j)
         if key in first:
-            _fail(f"duplicate entry ({i}, {j}), first given on line {first[key]}", lineno, line, toks[0])
+            _fail(f"duplicate entry ({i}, {j}), first given on line {first[key]}", lineno, line, 0)
         first[key] = lineno
         out[i - 1, j - 1] = val
         if symmetry == "symmetric":
@@ -138,7 +145,7 @@ def _load_csv(lines) -> np.ndarray:
         if not stripped:
             continue
         toks = [t.strip() for t in stripped.split(",")]
-        row = [_parse_real(t, lineno, raw) for t in toks]
+        row = [_parse_real(t, lineno, raw, i, ",") for i, t in enumerate(toks)]
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -44,8 +44,11 @@ bounds), r the rank of B, so an iteration where it is longer, as at low
 powers of wide inputs, runs from 1.  Every batch of an iteration starts
 alike, so a score does not depend on its batch.
 
-Each iteration takes one eigh(B), which serves the bracket pass and exact
-scoring.  In B's eigenbasis, with each cluster of eigenvalues deflated,
+Each iteration takes one eigh(B), B summed in one fixed order rather than
+by BLAS, whose sums change with its thread count, and one product that
+puts every column of E in B's eigenbasis; the bracket pass and exact
+scoring read each candidate's coordinates from it, so no score depends on
+the candidates scored with it.  With each cluster of eigenvalues deflated,
 every candidate's downdated spectrum is one c x c eigvalsh, c the number
 of clusters: r where the eigenvalues are apart, two on the hard instance,
 where nothing is pruned.  At power 0 a score is its spectrum's top entry,
@@ -195,6 +198,15 @@ def _scaled_eps(state: SelectionState, eps) -> float:
         top = 2.0 * (state.eigs[0] / state.scale if state.eigs.size else 1.0)
         eps = min(eps, 8.0 * top * top / state.noise)
     return eps
+
+
+def _basis(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, z): the ascending spectrum of B = e e^T and, in row i of z,
+    column i of e in B's eigenbasis.  einsum sums B in one fixed order,
+    where a threaded BLAS would split its sums by the thread count, and z
+    holds every column, whichever are scored."""
+    lam, vecs = np.linalg.eigh(np.einsum("ik,jk->ij", e, e))
+    return lam, e.T @ vecs
 
 
 def _downdated(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -471,29 +483,28 @@ def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=No
     return floors
 
 
-def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
+def _lower_spectra(z: np.ndarray, noise: float, lam: np.ndarray) -> np.ndarray:
     """Certified lower ends of the downdated spectra of :func:`_spectra`,
     ascending, each lowered by twice noise and clipped at 0, without
-    forming the downdated matrices, from basis = (lam, V) = eigh(b).
+    forming the downdated matrices, from the candidates' coordinates z in
+    the eigenbasis of b and b's spectrum lam (see :func:`_basis`).
 
-    The downdated spectrum is 0 (the direction u) and mu_1 .. mu_r-1, which
-    interlace the spectrum lam of b: mu_i in [lam_i, lam_i+1].  Inside that
+    The downdated spectrum is 0 (the candidate's direction) and mu_1 ..
+    mu_r-1, which interlace lam: mu_i in [lam_i, lam_i+1].  Inside that
     interval mu_i >= x exactly when f(x) = sum_j w_j / (lam_j - x) < 0, with
-    w = (V^T u)^2 / |u|^2 and V the eigenvectors of b (the constrained
-    eigenproblem, Golub, SIAM Rev. 1973).  f increases, so its negative
-    signs on a grid of _GRID points in the interval form a prefix, and the
-    count of certified negatives indexes a point no higher than mu_i.  f on
-    the whole grid is w @ K, K[j, m] = near_m / (lam_j - x_m), near_m the
-    distance from x_m to the nearer end, so |K| <= 1 and a value within
-    (r + 10) ulps of 0 certifies no sign.  K covers all r - 1 intervals and
-    the candidates go through it in blocks.  The widening covers the
-    backward error of eigh here and the cluster width and eigvalsh error of
-    the exact path.  Intervals narrower than noise are not refined.
+    w = z^2 / |z|^2 (the constrained eigenproblem, Golub, SIAM Rev. 1973).
+    f increases, so its negative signs on a grid of _GRID points in the
+    interval form a prefix, and the count of certified negatives indexes a
+    point no higher than mu_i.  f on the whole grid is w @ K, K[j, m] =
+    near_m / (lam_j - x_m), near_m the distance from x_m to the nearer end,
+    so |K| <= 1 and a value within (r + 10) ulps of 0 certifies no sign.  K
+    covers all r - 1 intervals and the candidates go through it in blocks.
+    The widening covers the backward error of eigh and the cluster width
+    and eigvalsh error of the exact path.  Intervals narrower than noise are
+    not refined.
     """
-    lam, vecs = basis
-    r, n = lam.size, u.shape[0]
-    z = u @ vecs
-    w = z * z / np.einsum("ij,ij->i", u, u)[:, None]
+    r, n = lam.size, z.shape[0]
+    w = z * z / np.einsum("ij,ij->i", z, z)[:, None]
     lo, hi = lam[:-1], lam[1:]
     gap = hi - lo
     # rounding must leave every grid point strictly inside its interval
@@ -521,37 +532,32 @@ def _lower_spectra(u: np.ndarray, noise: float, basis) -> np.ndarray:
     return lower
 
 
-def _spectra(basis, u: np.ndarray, noise: float) -> np.ndarray:
+def _spectra(lam: np.ndarray, z: np.ndarray, noise: float) -> np.ndarray:
     """Ascending spectra, clipped at 0, of B = E E^T after selecting each
-    column whose direction (a column of E) is a row of u, that is after
-    projecting E off u, from basis = (lam, V) = eigh(B), by the deflation
-    step of rank-one eigenvalue updates (Bunch, Nielsen and Sorensen, Numer.
-    Math. 1978).
+    candidate whose coordinates in B's eigenbasis are a row of z, that is
+    after projecting diag(lam) off that row, lam B's spectrum (see
+    :func:`_basis`), by the deflation step of rank-one eigenvalue updates
+    (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
 
-    In B's eigenbasis the downdate projects diag(lam) off z = V^T u.  lam,
-    ascending, is cut into clusters from the bottom, each at most
+    lam, ascending, is cut into clusters from the bottom, each at most
     _CLUSTER_WIDTH * noise from its least to its greatest value, and each
     cluster's values are replaced by their mean lam_c, which moves B by at
     most that width; the mean keeps the trace, so eigh's errors over a
     cluster do not add up.  In a cluster of m values, the m - 1 directions
-    of its eigenspace that are orthogonal to u keep lam_c after the
-    downdate; what is left is the c x c :func:`_downdated` of lam_c off
+    of its eigenspace that are orthogonal to the candidate keep lam_c after
+    the downdate; what is left is the c x c :func:`_downdated` of lam_c off
     zeta, the norms of z over the c clusters.  So each candidate's spectrum
     is eigvalsh of one c x c matrix and each lam_c repeated m - 1 times;
-    where every cluster is one value, c = r and zeta = z.  numpy rounds a
-    product over many rows unlike a one-row product, so z is formed one row
-    at a time: a row's result does not depend on the rows stacked with it.
+    where every cluster is one value, c = r and zeta = z.
 
     The spectra differ from the exact ones by at most the cluster width plus
     the backward errors of eigh and eigvalsh; the bracket's widening by
     twice noise covers them."""
-    lam, vecs = basis
     vals, width = lam.tolist(), _CLUSTER_WIDTH * noise
     starts = [0]
     for i in range(1, len(vals)):
         if vals[i] - vals[starts[-1]] > width:
             starts.append(i)
-    z = (np.ascontiguousarray(u)[:, None, :] @ vecs)[:, 0]
     lam_c, zeta, kept = lam, z, lam[:0]
     if len(starts) < lam.size:
         sizes = np.diff(starts + [lam.size])
@@ -560,24 +566,12 @@ def _spectra(basis, u: np.ndarray, noise: float) -> np.ndarray:
         kept = np.repeat(lam_c, sizes - 1)
     step = max(1, _BLOCK_BYTES // (8 * lam_c.size**2))
     mu = np.concatenate([np.linalg.eigvalsh(_downdated(lam_c, zeta[first : first + step]))
-                         for first in range(0, u.shape[0], step)])
+                         for first in range(0, z.shape[0], step)])
     if kept.size:
-        mu = np.concatenate([mu, np.broadcast_to(kept, (u.shape[0], kept.size))], axis=1)
+        mu = np.concatenate([mu, np.broadcast_to(kept, (z.shape[0], kept.size))], axis=1)
         mu.sort(axis=1)
     np.maximum(mu, 0.0, out=mu)
     return mu
-
-
-def _scores(state: SelectionState, u: np.ndarray, power: int, eps: float,
-            basis=None, tally=None, t=None) -> np.ndarray:
-    """Certified scores, on state's scale, of the candidates whose directions
-    are the rows of u, in row order: the eps-approximate largest root of the
-    operator power of each candidate's residual characteristic polynomial.
-    basis is the eigh of state's E E^T, formed here when not given; tally
-    and t act as in :func:`_root_scores`."""
-    if basis is None:
-        basis = np.linalg.eigh(state.e @ state.e.T)
-    return _root_scores(_spectra(basis, u, state.noise), power, eps, state.noise, tally, t)
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -599,7 +593,9 @@ def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_
     u = state.e[:, i]
     if np.sqrt(float(u @ u)) <= state.tol:
         raise DegenerateDirection(f"column {i} lies in the selected span")
-    return RootApprox(float(_scores(state, u[None, :], power, eps_s)[0]) * state.scale, eps)
+    lam, z = _basis(state.e)
+    mu = _spectra(lam, z[i : i + 1], state.noise)
+    return RootApprox(float(_root_scores(mu, power, eps_s, state.noise)[0]) * state.scale, eps)
 
 
 def _advance(state: SelectionState, j: int) -> None:
@@ -629,7 +625,7 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     candidate with the least certified lower bound is scored exactly first,
     and then, in one call, every other candidate whose bound is within
     :func:`_margin` of that score; no other candidate can tie the minimum.
-    One eigh(B) serves the bracket pass and every :func:`_spectra` call.
+    One :func:`_basis` serves the bracket pass and exact scoring.
 
     t, above which no candidate can win while the score chain holds, starts
     the bracket pass's Laguerre runs (:func:`_anchored`) unless its root
@@ -644,20 +640,21 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     if not admissible.any():
         raise AllCandidatesDegenerate(f"no admissible column at iteration {state.iteration + 1}; "
                                       "cannot happen for k <= rank")
-    cands, u = cands[admissible], u[admissible]
+    cands = cands[admissible]
     count = cands.size
-    basis = np.linalg.eigh(state.e @ state.e.T)
+    lam, z = _basis(state.e)
+    z = z[cands]
     tally = Counter()
     scores = np.full(count, np.inf)  # inf: pruned, not scored
     todo = scored = np.ones(count, dtype=bool)
-    if not state.tied and count > _BLOCK_BYTES // (8 * basis[0].size**2):
-        if 2 * (np.count_nonzero(basis[0] > state.noise) - power + 1) > 3 * (power + 3):
+    if not state.tied and count > _BLOCK_BYTES // (8 * lam.size**2):
+        if 2 * (np.count_nonzero(lam > state.noise) - power + 1) > 3 * (power + 3):
             t = None  # the count is longer than the steps it saves
-        floors = _score_floors(_lower_spectra(u, state.noise, basis), power, eps, state.noise,
+        floors = _score_floors(_lower_spectra(z, state.noise, lam), power, eps, state.noise,
                                tally, t)
         first = int(np.argmin(floors))
-        best = scores[first] = float(_scores(state, u[first : first + 1], power, eps, basis,
-                                             tally, t)[0])
+        best = scores[first] = float(_root_scores(_spectra(lam, z[first : first + 1], state.noise),
+                                                  power, eps, state.noise, tally, t)[0])
         scored = floors <= best + _margin(best, eps, tie)
         scored[first] = True
         todo = scored.copy()
@@ -665,7 +662,8 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     else:
         t = None
     if todo.any():
-        scores[todo] = _scores(state, u[todo], power, eps, basis, tally, t)
+        scores[todo] = _root_scores(_spectra(lam, z[todo], state.noise), power, eps, state.noise,
+                                    tally, t)
     low = float(scores.min())
     state.tied = bool(np.all(scores <= low + _margin(low, eps, tie)))
     pos = int(np.argmax(scores <= low + tie))

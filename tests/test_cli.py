@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -518,15 +519,24 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_byte_identical_reports_across_threads(self):
-        cmd = [sys.executable, "-m", "cssp.cli", "select", "--instance",
-               "hard:d=5,delta=1", "-k", "2", "--format", "json"]
+        cmd = [sys.executable, "-m", "cssp.cli", "select", "--format", "json", "--instance"]
         outputs = set()
         for threads in ("1", "2", "4"):
             for _ in range(2):
-                proc = subprocess.run(cmd + ["--threads", threads],
+                proc = subprocess.run(cmd + ["hard:d=5,delta=1", "-k", "2", "--threads", threads],
                                       capture_output=True, check=True)
                 outputs.add(proc.stdout)
         assert len(outputs) == 1
+        # nor does the BLAS thread count, on inputs where a threaded BLAS
+        # would sum E E^T in another order
+        for args in (["random:n=100,d=300,seed=7", "-k", "30"],
+                     ["power:n=128,d=128,seed=7", "-k", "64"]):
+            outputs = set()
+            for blas in ("1", "4"):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas}
+                proc = subprocess.run(cmd + args, capture_output=True, check=True, env=env)
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1, args
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_verify_byte_identical_across_repeats_and_threads(self, capsys, fmt):

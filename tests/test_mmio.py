@@ -182,6 +182,12 @@ _LOAD_ERRORS = [
     (b"1,2\n\n3,x\n", ParseError, "expected a real number, got 'x'", 3, 3),
     # CSV columns count from the start of the line
     (b" 1, x\n", ParseError, "expected a real number, got 'x'", 1, 5),
+    # a bad token's column is its own, not that of an earlier token holding it
+    (b"1e5,e5\n", ParseError, "expected a real number, got 'e5'", 1, 5),
+    (b"%%MatrixMarket matrix array real general\n2 1\ninf in\n",
+     ParseError, "expected a real number, got 'in'", 3, 5),
+    (b"%%MatrixMarket matrix array real real\n1 1\n1\n",
+     ParseError, "unsupported symmetry 'real'", 1, 34),
 ]
 
 

@@ -18,6 +18,14 @@ def _rank_deficient(n, d, r, seed):
     return rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
 
 
+def _column_scores(state, cols, power, eps, t=None):
+    """Certified scores of the columns cols of state's E, in the order given,
+    by select's route: one _basis, then _spectra and _root_scores."""
+    lam, z = selector_mod._basis(state.e)
+    mu = selector_mod._spectra(lam, z[cols], state.noise)
+    return selector_mod._root_scores(mu, power, eps, state.noise, None, t)
+
+
 class TestCandidateScore:
     def test_diagonal_both_columns(self):
         a = np.diag([np.sqrt(3.0), 1.0])
@@ -403,23 +411,22 @@ class TestStateConsistency:
         for l in range(picks):
             cands = np.delete(np.arange(a.shape[1]), state.chosen)
             cands = cands[np.linalg.norm(state.e[:, cands], axis=0) > state.tol]
-            u = state.e[:, cands].T
             power = k - l - 1
-            basis = np.linalg.eigh(state.e @ state.e.T)
-            free = selector_mod._scores(state, u, power, eps, basis)
+            lam, z = selector_mod._basis(state.e)
+            free = _column_scores(state, cands, power, eps)
             median = float(np.median(free))
             for t in (None, median):
-                batched = selector_mod._scores(state, u, power, eps, basis, None, t)
-                alone = [selector_mod._scores(state, u[i : i + 1], power, eps, basis, None, t)[0]
-                         for i in range(len(u))]
+                batched = _column_scores(state, cands, power, eps, t)
+                alone = [_column_scores(state, cands[i : i + 1], power, eps, t)[0]
+                         for i in range(len(cands))]
                 assert np.array_equal(batched, alone)
-                lower = selector_mod._lower_spectra(u, state.noise, basis)
+                lower = selector_mod._lower_spectra(z[cands], state.noise, lam)
                 floors = selector_mod._score_floors(lower, power, eps, state.noise, None, t)
                 alone = [selector_mod._score_floors(lower[i : i + 1], power, eps, state.noise,
-                                                    None, t)[0] for i in range(len(u))]
+                                                    None, t)[0] for i in range(len(cands))]
                 assert np.array_equal(floors, alone)
             if free.max() > 1.01 * free.min():  # not the hard instance's one score
-                mu = selector_mod._spectra(basis, u, state.noise)
+                mu = selector_mod._spectra(lam, z[cands], state.noise)
                 _, top, deg, b = selector_mod._live_rows(mu, power, state.noise)
                 drop = selector_mod._anchored(b, power, deg, top, eps, median)[2]
                 assert drop.any() and not drop.all()
@@ -559,16 +566,15 @@ class TestBatchedScores:
     )
     def test_match_char_poly_route(self, a):
         from cssp.linalg import complement_projector, symmetrize
-        from cssp.selector import _advance, _scores
+        from cssp.selector import _advance
 
         eps = 1e-9
         state = initial_state(a)
         _advance(state, 0)
         cands = list(range(1, a.shape[1]))
-        u = state.e[:, cands].T
         polys = [char_poly(symmetrize(a.T @ complement_projector(a, [0, i]) @ a)) for i in cands]
         for power in (0, 1, 3):
-            scores = state.scale * _scores(state, u, power, eps / state.scale)
+            scores = state.scale * _column_scores(state, cands, power, eps / state.scale)
             refs = [maxroot(polar_power(p, power), eps).value for p in polys]
             for s, ref in zip(scores, refs):
                 assert abs(s - ref) <= 2 * eps
@@ -872,8 +878,10 @@ def _walk(a, picks, seed):
 
 
 def _admissible(state):
-    u = np.delete(state.e, state.chosen, axis=1).T
-    return u[np.linalg.norm(u, axis=1) > state.tol]
+    """The columns of state's E whose directions are admissible."""
+    cols = np.delete(np.arange(state.e.shape[1]), state.chosen)
+    u = state.e[:, cols].T
+    return cols[np.linalg.norm(u, axis=1) > state.tol]
 
 
 def _clustered_input(kind, n, d, seed):
@@ -904,10 +912,11 @@ class TestDeflation:
         # clusters at most noise / 4 wide, replaced by their means, plus
         # eigh's backward error stay within the noise level
         state = _walk(_clustered_input(kind, n, d, seed), picked, seed)
-        u = _admissible(state)
+        cols = _admissible(state)
         b = state.e @ state.e.T
-        got = selector_mod._spectra(np.linalg.eigh(b), u, state.noise)
-        want = np.maximum(np.linalg.eigvalsh(_projected(b, u)), 0.0)
+        lam, z = selector_mod._basis(state.e)
+        got = selector_mod._spectra(lam, z[cols], state.noise)
+        want = np.maximum(np.linalg.eigvalsh(_projected(b, state.e[:, cols].T)), 0.0)
         assert np.max(np.abs(got - want)) <= state.noise
 
     def test_clusters_shrink_the_eigen_problems(self, monkeypatch):
@@ -955,8 +964,8 @@ class TestStructuralZeros:
         # spectrum, eigh's errors and the deflation's included, stay within it
         a = _small_input(kind, n, d, seed)
         state = _walk(a, picked, seed)
-        basis = np.linalg.eigh(state.e @ state.e.T)
-        mu = selector_mod._spectra(basis, _admissible(state), state.noise)
+        lam, z = selector_mod._basis(state.e)
+        mu = selector_mod._spectra(lam, z[_admissible(state)], state.noise)
         zeros = min(a.shape) - state.eigs.size + 1
         assert np.all(mu[:, :zeros] <= state.noise)
 
@@ -998,16 +1007,16 @@ class TestBracketPass:
             selector_mod._BLOCK_BYTES, saved = block, selector_mod._BLOCK_BYTES
         try:
             state = _walk(_bracket_input(kind, n, d, seed), picked, seed)
-            u = _admissible(state)
-            b = state.e @ state.e.T
-            basis = np.linalg.eigh(b)
-            lower = selector_mod._lower_spectra(u, state.noise, basis)
+            cols = _admissible(state)
+            lam, z = selector_mod._basis(state.e)
+            lower = selector_mod._lower_spectra(z[cols], state.noise, lam)
         finally:
             if block is not None:
                 selector_mod._BLOCK_BYTES = saved
-        mu = np.maximum(np.linalg.eigvalsh(_projected(b, u)), 0.0)
+        b = state.e @ state.e.T
+        mu = np.maximum(np.linalg.eigvalsh(_projected(b, state.e[:, cols].T)), 0.0)
         # the exact path's spectra, clusters of eigh(b) deflated
-        used = selector_mod._spectra(basis, u, state.noise)
+        used = selector_mod._spectra(lam, z[cols], state.noise)
         assert lower.shape == mu.shape == used.shape
         assert np.all(lower <= mu)
         assert np.all(lower <= used)
@@ -1022,15 +1031,16 @@ class TestBracketPass:
     def test_lower_ends_at_rank_one(self):
         # no interlacing interval: each spectrum is its direction's 0
         state = initial_state(random_gaussian(1, 50, 1))
-        basis = np.linalg.eigh(state.e @ state.e.T)
-        lower = selector_mod._lower_spectra(state.e.T, state.noise, basis)
+        lam, z = selector_mod._basis(state.e)
+        lower = selector_mod._lower_spectra(z, state.noise, lam)
         assert np.array_equal(lower, np.zeros((50, 1)))
 
     def test_lower_ends_refine_interlacing(self):
         # the sign tests lift most lower ends above the interlacing bound
         state = initial_state(random_gaussian(40, 80, 7))
         b = state.e @ state.e.T
-        lower = selector_mod._lower_spectra(state.e.T, state.noise, np.linalg.eigh(b))
+        lam, z = selector_mod._basis(state.e)
+        lower = selector_mod._lower_spectra(z, state.noise, lam)
         lam = np.linalg.eigvalsh(b)
         assert np.mean(lower[:, 1:] > lam[:-1] + 2.0 * state.noise) > 0.5
 
@@ -1055,7 +1065,7 @@ class TestBracketPass:
             cands = np.delete(np.arange(a.shape[1]), state.chosen)
             u = state.e[:, cands].T
             ok = np.linalg.norm(u, axis=1) > state.tol
-            scores = selector_mod._scores(state, u[ok], k - l, eps)
+            scores = _column_scores(state, cands[ok], k - l, eps)
             want = int(cands[ok][np.argmax(scores <= scores.min() + tie)])
             state.tied = False
             got, score, counts = selector_mod._pick(state, k - l, eps, tie)
@@ -1100,7 +1110,7 @@ class TestBracketPass:
             cands = np.delete(np.arange(a.shape[1]), state.chosen)
             u = state.e[:, cands].T
             ok = np.linalg.norm(u, axis=1) > state.tol
-            scores = selector_mod._scores(state, u[ok], k - l, eps)
+            scores = _column_scores(state, cands[ok], k - l, eps)
             low = scores.min()
             want = int(cands[ok][np.argmax(scores <= low + tie)])
             bound = prev + 2.0 * eps + tie
@@ -1129,7 +1139,7 @@ class TestBracketPass:
         state = initial_state(a)
         eps = 1e-9 / state.scale
         tie = selector_mod._TIE_ULPS * MACHINE_EPS * max(1.0, state.eigs[0] / state.scale)
-        free = selector_mod._scores(state, state.e.T, 2, eps)
+        free = _column_scores(state, np.arange(a.shape[1]), 2, eps)
         picks = [selector_mod._pick(initial_state(a), 2, eps, tie, t)
                  for t in (None, float(np.median(free)))]
         assert picks[0] == picks[1] and picks[0][2].pruned > 0
@@ -1150,13 +1160,13 @@ class TestSelectionStats:
 
     def test_each_kept_candidate_is_scored_once(self, monkeypatch):
         rows = []
-        scores = selector_mod._scores
+        spectra = selector_mod._spectra
 
-        def recorded(state, u, *args):
-            rows.append(u.shape[0])
-            return scores(state, u, *args)
+        def recorded(lam, z, *args):
+            rows.append(z.shape[0])
+            return spectra(lam, z, *args)
 
-        monkeypatch.setattr(selector_mod, "_scores", recorded)
+        monkeypatch.setattr(selector_mod, "_spectra", recorded)
         result = select(random_gaussian(40, 80, 7), 20)
         assert sum(rows) == sum(s.scored for s in result.stats)
 
@@ -1206,7 +1216,7 @@ class TestSelectionStats:
             return eigvalsh(m)
 
         def checked(call, state, *args):
-            lam = np.linalg.eigh(state.e @ state.e.T)[0]
+            lam = selector_mod._basis(state.e)[0]
             c, start = 1, lam[0]
             for v in lam[1:]:
                 if v - start > state.noise / 4.0:
