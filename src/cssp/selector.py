@@ -49,10 +49,13 @@ by BLAS, whose sums change with its thread count, and one product that
 puts every column of E in B's eigenbasis; the bracket pass and exact
 scoring read each candidate's coordinates from it, so no score depends on
 the candidates scored with it.  With each cluster of eigenvalues deflated,
-every candidate's downdated spectrum is one c x c eigvalsh, c the number
-of clusters: r where the eigenvalues are apart, two on the hard instance,
-where nothing is pruned.  At power 0 a score is its spectrum's top entry,
-with no root to seek.
+every candidate's downdated spectrum is its own c values, one c x c
+eigvalsh, c the number of clusters (r where the eigenvalues are apart, two
+on the hard instance, where nothing is pruned), and the iteration's shared
+values: each cluster of m values keeps its value m - 1 times in every
+candidate's spectrum.  Root isolation takes a shared value as one factor of
+multiplicity m - 1, a truncated binomial, rather than m - 1 factors.  At
+power 0 a score is its spectrum's top entry, with no root to seek.
 """
 
 from __future__ import annotations
@@ -98,14 +101,21 @@ _GRID = 15
 # the twice noise that the bracket sets aside.
 _CLUSTER_WIDTH = 0.25
 
-# Rounding bound of a Taylor coefficient of _taylor, in eps_mach per nonzero
-# column of b (a zero column multiplies exactly), times the sum m of the
+# Rounding bound of a Taylor coefficient of _taylor, in eps_mach per factor
+# of nonzero b (a zero b multiplies exactly), times the sum S of the
 # magnitudes of its terms.  Each factor's two entries carry at most three
 # roundings (forming a_j or b_j h, the normalising division, and b_j x read
 # as moving the root 1/b_j by one ulp), and the product adds two per factor
 # (a multiply and a subtract), so the computed coefficient is within
-# (5 columns + 10) eps_mach m of the exact one, the 10 covering
-# second-order terms; one within that of 0 has no certain sign.
+# (5 factors + 10) eps_mach S of the exact one, the 10 covering
+# second-order terms; one within that of 0 has no certain sign.  A fold,
+# the factor of a shared value taken to its multiplicity m at once, carries
+# its entries' 3 roundings into each power, so 3m in every term, one for
+# each of the two powers and the binomial coefficient, two for their
+# product and, past the first fold, one for the product with c and m for a
+# sum of at most m + 1 terms: 4m + 6 <= 5 (m + 1), so a fold counts as
+# m + 1 factors.  Folded in p parts (see _taylor), it has 4m + 6p, and
+# p <= m / 1029 + 1 keeps that within 5 (m + 1) too.
 _ROUNDING = 5
 
 
@@ -224,16 +234,38 @@ def _downdated(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _taylor(x: np.ndarray, b: np.ndarray, orders: int, high: bool = False):
-    """Taylor data of prod_j (1 - b_j x) at each row's x, over the rows of b:
-    (c, h) with c[:, m], m < orders, the coefficient of s^m in
-    prod_j (a_j - b_j h s) / (|a_j| + b_j h), a_j = 1 - b_j x.
+def _binomial(a: np.ndarray, bh: np.ndarray, m: int, count: int) -> np.ndarray:
+    """The coefficients of s^i, i < count, of (a_r - bh_r s)^m for each
+    entry r of the rows a and bh: C(m, i) a_r^(m - i) (-bh_r)^i, from the
+    powers of |a_r| and |bh_r|, as np.power is several times slower on a
+    negative base, with the signs copied onto the odd powers."""
+    binom = [1]
+    for j in range(1, count):
+        binom.append(binom[-1] * (m - j + 1) // j)
+    i = np.arange(count, dtype=float)[:, None]
+    terms = np.power(np.abs(a), m - i)
+    odd = terms[(m + 1) % 2 :: 2]  # the rows where m - i is odd
+    np.copysign(odd, a, out=odd)
+    terms *= np.array(binom, dtype=float)[:, None]
+    powers = np.power(np.abs(bh), i)
+    odd = powers[1::2]
+    np.copysign(odd, -bh, out=odd)
+    terms *= powers
+    return terms
+
+
+def _taylor(x: np.ndarray, b: np.ndarray, orders: int, high: bool = False, mult=()):
+    """Taylor data of prod_j (1 - b_j x)^(m_j) at each row's x, over the rows
+    of b, m_j = 1 but for the last len(mult) columns, folds of
+    multiplicities mult: (c, h) with c[:, k], k < orders, the coefficient of
+    s^k in prod_j ((a_j - b_j h s) / (|a_j| + b_j h))^(m_j), a_j = 1 - b_j x.
 
     With high, the top orders instead, from the reversed product in w = 1/s,
-    and their sizes: (c, h, m) with c[:, i] the coefficient of
-    s^(n - orders + 1 + i), n the columns of b, and m the same coefficients
-    of prod_j (|a_j| + b_j h s) / (|a_j| + b_j h), the sums of the magnitudes
-    of the terms of each c, which bound its rounding error (see _ROUNDING).
+    and their sizes: (c, h, S) with c[:, i] the coefficient of
+    s^(n - orders + 1 + i), n the degree sum_j m_j, and S the same
+    coefficients of prod_j ((|a_j| + b_j h s) / (|a_j| + b_j h))^(m_j), the
+    sums of the magnitudes of the terms of each c, which bound its rounding
+    error (see _ROUNDING).
 
     h, the geometric mean of the distances |a_j| / b_j from x to the roots,
     balances the lowest and highest coefficients, so neither underflows
@@ -241,28 +273,56 @@ def _taylor(x: np.ndarray, b: np.ndarray, orders: int, high: bool = False):
     coefficient within [-1, 1].  A zero b_j gives the factor 1 exactly, and
     h's logarithms are summed one column after another, so a row's data do
     not depend on the zero columns or the rows stacked with it.
+
+    A fold enters as its truncated binomial (:func:`_binomial`), the first
+    one written into c and each later one convolved with it, before the
+    other columns multiply in one at a time.  C(m, i) overflows a double
+    from m = 1030, so a larger multiplicity is folded in equal parts of at
+    most 1029.
     """
     # columns x rows, and orders x rows below, so each factor is three
     # in-place passes over contiguous rows
     b = np.ascontiguousarray(b.T)
     a = 1.0 - b * x
+    abs_a = np.abs(a)
     live = b > 0.0
-    logs = np.divide(np.maximum(np.abs(a), MACHINE_EPS), b, out=np.ones_like(b), where=live)
+    logs = np.divide(np.maximum(abs_a, MACHINE_EPS), b, out=np.ones_like(b), where=live)
     np.log(logs, out=logs)
-    h = np.exp(np.add.accumulate(logs, out=logs)[-1] / np.count_nonzero(live, axis=0))
+    count = live.sum(axis=0)
+    own = b.shape[0] - len(mult)
+    if own < b.shape[0]:
+        weight = np.asarray(mult, dtype=float)[:, None]
+        logs[own:] *= weight
+        count = count + (live[own:] * (weight - 1.0)).sum(axis=0)
+    h = np.exp(np.add.accumulate(logs, out=logs)[-1] / count)
     bh = b * h
-    s = np.abs(a) + bh
+    s = abs_a + bh
     a /= s
     bh /= s
     if high:
         # each pass below multiplies by a_j - bh_j s; with (-bh_j, -a_j) it
         # multiplies by a_j w - bh_j, with (bh_j, -|a_j|) by |a_j| w + bh_j
-        a, bh = np.concatenate([-bh, bh], axis=1), np.concatenate([-a, -np.abs(a)], axis=1)
+        abs_a /= s
+        a, bh = np.concatenate([-bh, bh], axis=1), np.concatenate([-a, -abs_a], axis=1)
     c = np.zeros((orders, a.shape[1]))
     c[0] = 1.0
+    folds = []
+    for a_f, bh_f, m in zip(a[own:], bh[own:], map(int, mult)):
+        parts = -(-m // 1029)
+        for p in range(parts):
+            piece = m // parts + (p < m % parts)
+            folds.append(_binomial(a_f, bh_f, piece, min(piece, orders - 1) + 1))
+    if folds:
+        c[: len(folds[0])] = folds[0]
+    for terms in folds[1:]:
+        span = len(terms)
+        padded = np.zeros((orders + span - 1, c.shape[1]))
+        padded[span - 1 :] = c
+        c = np.einsum("krj,jr->kr", np.lib.stride_tricks.sliding_window_view(padded, span, axis=0),
+                      terms[::-1])
     head, tail = c[:-1], c[1:]
     tmp = np.empty_like(head)
-    for a_j, bh_j in zip(a, bh):
+    for a_j, bh_j in zip(a[:own], bh[:own]):
         np.multiply(bh_j, head, out=tmp)
         np.multiply(c, a_j, out=c)
         np.subtract(tail, tmp, out=tail)
@@ -285,12 +345,13 @@ def _root_distances(g: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarra
     larger Laguerre denominator, so a rounding-level g cannot jump a root.
     """
     data = g[:, :3]
-    big = np.max(np.abs(data), axis=1, keepdims=True)
+    big = np.abs(data).max(axis=1, keepdims=True)
     g, d1, d2 = np.divide(data, big, out=np.zeros_like(data), where=big > 0.0).T
     slope = (power + 1) * d1
     curv = (power + 1) * (power + 2) * d2
-    spread = slope * slope - curv * g  # g^2 S2
-    root = np.sqrt(np.maximum((n - 1) * (n * spread - slope * slope), 0.0))
+    square = slope * slope
+    spread = square - curv * g  # g^2 S2
+    root = np.sqrt(np.maximum((n - 1) * (n * spread - square), 0.0))
     den = slope + np.copysign(root, slope)
     step = np.divide(-n * g, den, out=np.zeros_like(g), where=den != 0.0)
     upper = np.divide(-slope * g, spread, out=np.full_like(g, np.nan), where=spread > 0.0)
@@ -308,30 +369,48 @@ def _alternates(g: np.ndarray, n: np.ndarray, slack=None) -> np.ndarray:
     ok = signs == 1.0
     if slack is not None:
         ok &= np.abs(g) > slack
-    return np.all(ok | (orders > n[:, None]), axis=1)
+    return (ok | (orders > n[:, None])).all(axis=1)
 
 
-def _live_rows(mu: np.ndarray, power: int, noise: float):
-    """(live, top, deg, b) of the ascending spectra in the rows of mu,
-    entries at most noise taken as zero: the rows whose g = D^power
-    prod_j (1 - b_j x) has degree deg > 0, their top entries, and their
-    entries over top, b."""
-    top = mu[:, -1]
+def _tops(mu: np.ndarray, shared) -> np.ndarray:
+    """The top entry of each spectrum: each row of mu, ascending, with the
+    shared values of shared = (vals, mult), if given, ascending too."""
+    if shared is None or not shared[0].size:
+        return mu[:, -1]
+    return np.maximum(mu[:, -1], shared[0][-1])
+
+
+def _live_rows(mu: np.ndarray, power: int, noise: float, shared=None):
+    """(live, top, deg, b, mult) of the spectra made of each row of mu and,
+    with shared = (vals, mult) as :func:`_spectra` gives it, the values
+    vals, each mult times, entries at most noise taken as zero: the rows
+    whose g = D^power prod_j (1 - b_j x)^(m_j) has degree deg > 0 (with
+    multiplicities), their top entries, and their entries over top, b: the
+    row's own entries, then one column for each shared value above noise,
+    a fold of multiplicity mult (see :func:`_taylor`)."""
+    top = _tops(mu, shared)
     b = np.where(mu > noise, mu, 0.0)
-    deg = np.count_nonzero(b, axis=1) - power
+    deg = (b > 0.0).sum(axis=1) - power
+    vals, mult = (None, ()) if shared is None else shared
+    if len(mult):
+        keep = vals > noise
+        vals, mult = vals[keep], mult[keep]
+        deg += int(mult.sum())
     live = np.flatnonzero(deg > 0)
     top, deg, b = top[live], deg[live], b[live]
     if live.size:
         b /= top[:, None]
         # noise entries lead each row; drop the columns zero in every row
-        b = b[:, np.min(np.count_nonzero(b == 0.0, axis=1)) :]
-    return live, top, deg, b
+        b = b[:, (b == 0.0).sum(axis=1).min() :]
+        if len(mult):
+            b = np.concatenate([b, vals / top[:, None]], axis=1)
+    return live, top, deg, b, mult
 
 
 def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: float,
-              tally=None, x=None, taylor=None) -> tuple[np.ndarray, np.ndarray]:
+              tally=None, x=None, taylor=None, mult=()) -> tuple[np.ndarray, np.ndarray]:
     """(x, cap) with x <= x* <= cap, x* the smallest root of each row's
-    g = D^power prod_j (1 - b_j x), in the terms of :func:`_live_rows`.
+    g = D^power prod_j (1 - b_j x)^(m_j), in the terms of :func:`_live_rows`.
 
     Laguerre's method from a point below x*, x = 1 unless given, stays below
     x* and converges to it, so the upper bound of :func:`_root_distances` at
@@ -347,7 +426,7 @@ def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     expansions = 0
     for _ in range(_LAGUERRE_STEPS):
         if taylor is None:
-            c, h = _taylor(x[todo], b[todo], power + 3)
+            c, h = _taylor(x[todo], b[todo], power + 3, False, mult)
             taylor = c[:, power:], h
             expansions += 1
         (g, h), taylor = taylor, None
@@ -366,7 +445,7 @@ def _laguerre(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
 
 
 def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: float, t,
-              tally=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              tally=None, mult=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, cap, drop): bounds x <= x* <= cap on each row's x*, from
     :func:`_laguerre` started at x0 = max(1, top / t) where a root count
     allows, and the rows the count drops.  With t None, Laguerre runs from 1
@@ -375,49 +454,54 @@ def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     One Taylor expansion at x0, of the orders power and up, which are g's
     (:func:`_taylor`'s high orders), counts the roots of g above x0 by
     Budan-Fourier, with each coefficient's sign certain beyond its _ROUNDING
-    bound, counted over the row's own deg + power columns (a zero column
-    multiplies exactly, so adds no rounding).  All of them above
-    (:func:`_alternates`): x0 < x*, and the expansion is the first Laguerre
-    step.  Fewer, where two certain signs break the alternation: x* <= x0,
+    bound, counted over the row's deg + power factors and one more for each
+    fold (a zero column multiplies exactly, so adds no rounding).  All of
+    them above (:func:`_alternates`): x0 < x*, and the expansion is the
+    first Laguerre step.  Fewer, where two certain signs break the alternation: x* <= x0,
     so the row keeps cap = x0, its score top / x* is at least top / x0 = t,
     and it is bounded no further.  A row the count cannot decide runs from
     1.  Nothing here depends on the other rows."""
     if t is None:
-        return *_laguerre(b, power, deg, top, eps, tally), np.zeros(top.size, dtype=bool)
-    orders = b.shape[1] - power + 1
+        return (*_laguerre(b, power, deg, top, eps, tally, None, None, mult),
+                np.zeros(top.size, dtype=bool))
+    folds = len(mult)
+    orders = b.shape[1] - folds + int(sum(mult)) - power + 1
     x0 = np.maximum(1.0, top / t)
-    g, h, sizes = _taylor(x0, b, orders, True)
+    g, h, sizes = _taylor(x0, b, orders, True, mult)
     if tally is not None:
         tally["steps"] += 1
-    slack = (_ROUNDING * (deg + power) + 10)[:, None] * MACHINE_EPS * sizes
+    slack = (_ROUNDING * (deg + power + folds) + 10)[:, None] * MACHINE_EPS * sizes
     above = _alternates(g, deg, slack)
     order = np.arange(orders)
     certain = (np.abs(g) > slack) & (order <= deg[:, None])
     signs = np.where(certain, np.sign(g) * (-1.0) ** order, 0.0)
     drop = (signs.max(axis=1) > 0.0) & (signs.min(axis=1) < 0.0)
-    g = np.pad(g, ((0, 0), (0, max(3 - g.shape[1], 0))))  # a linear g: orders above are 0
+    if orders < 3:  # a linear g: orders above are 0
+        g = np.pad(g, ((0, 0), (0, 3 - orders)))
     x, cap = np.ones(top.size), x0.copy()
     if above.any():
         x[above], cap[above] = _laguerre(b[above], power, deg[above], top[above], eps, tally,
-                                         x0[above], (g[above], h[above]))
+                                         x0[above], (g[above], h[above]), mult)
     rest = ~(above | drop)
     if rest.any():
-        x[rest], cap[rest] = _laguerre(b[rest], power, deg[rest], top[rest], eps, tally)
+        x[rest], cap[rest] = _laguerre(b[rest], power, deg[rest], top[rest], eps, tally,
+                                       None, None, mult)
     return x, cap, drop
 
 
 def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=None,
-                 t=None) -> np.ndarray:
-    """Scores of the ascending spectra in the rows of mu, entries at most
-    noise taken as zero: the largest root of the power-th polar image of
-    prod_j (x - mu_j), certified within max(eps, 64 ulps).  With a bound t,
-    Laguerre starts from :func:`_anchored`'s point, and a row it drops
-    scores top / x0, a certified lower bound at least t, with no
-    certificate.
+                 t=None, shared=None) -> np.ndarray:
+    """Scores of the ascending spectra in the rows of mu, each with the
+    shared values of shared = (vals, mult) when given (see :func:`_spectra`),
+    entries at most noise taken as zero: the largest root of the power-th
+    polar image of prod_j (x - mu_j), certified within max(eps, 64 ulps).
+    With a bound t, Laguerre starts from :func:`_anchored`'s point, and a
+    row it drops scores top / x0, a certified lower bound at least t, with
+    no certificate.
 
     In x = top * y, b = mu / top, the smallest root x* of g = D^power
-    prod_j (1 - b_j x) is at least 1 and the score is top / x*, with x from
-    :func:`_laguerre`.  At z just left of x, strictly alternating Taylor
+    prod_j (1 - b_j x), a shared value a fold (see :func:`_live_rows`), is
+    at least 1 and the score is top / x*, with x from :func:`_laguerre`.  At z just left of x, strictly alternating Taylor
     orders power .. r put every root of g above z (Budan-Fourier), so the
     bounds of :func:`_root_distances` from z bracket x*, and both ends must
     score within the tolerance.  z backs off from x by the tolerance's share
@@ -430,14 +514,14 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     certified.
     """
     if power == 0:
-        top = mu[:, -1]
+        top = _tops(mu, shared)
         return np.where(top > noise, top, 0.0)
     scores = np.zeros(mu.shape[0])
-    live, top, deg, b = _live_rows(mu, power, noise)
+    live, top, deg, b, mult = _live_rows(mu, power, noise, shared)
     if not live.size:
         return scores
 
-    x, cap, drop = _anchored(b, power, deg, top, eps, t, tally)
+    x, cap, drop = _anchored(b, power, deg, top, eps, t, tally, mult)
     value = top / np.where(drop, cap, x)
     todo = np.flatnonzero(~drop)
     tol = np.maximum(eps, 64.0 * MACHINE_EPS * value)
@@ -453,7 +537,7 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
             )
         z = x[todo] - back[todo]
         n = deg[todo]
-        c, h = _taylor(z, b[todo], power + orders)
+        c, h = _taylor(z, b[todo], power + orders, False, mult)
         g = c[:, power:]
         lower, upper = _root_distances(g, power, n)
         v, within = value[todo], tol[todo]
@@ -477,7 +561,7 @@ def _score_floors(mu: np.ndarray, power: int, eps: float, noise: float, tally=No
     if power == 0:
         return _root_scores(mu, power, eps, noise)
     floors = np.zeros(mu.shape[0])
-    live, top, deg, b = _live_rows(mu, power, noise)
+    live, top, deg, b, _ = _live_rows(mu, power, noise)
     if live.size:
         floors[live] = top / _anchored(b, power, deg, top, eps, t, tally)[1]
     return floors
@@ -532,12 +616,14 @@ def _lower_spectra(z: np.ndarray, noise: float, lam: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _spectra(lam: np.ndarray, z: np.ndarray, noise: float) -> np.ndarray:
-    """Ascending spectra, clipped at 0, of B = E E^T after selecting each
-    candidate whose coordinates in B's eigenbasis are a row of z, that is
-    after projecting diag(lam) off that row, lam B's spectrum (see
-    :func:`_basis`), by the deflation step of rank-one eigenvalue updates
-    (Bunch, Nielsen and Sorensen, Numer. Math. 1978).
+def _spectra(lam: np.ndarray, z: np.ndarray, noise: float):
+    """(mu, shared): the ascending spectra, clipped at 0, of B = E E^T after
+    selecting each candidate whose coordinates in B's eigenbasis are a row
+    of z, that is after projecting diag(lam) off that row, lam B's spectrum
+    (see :func:`_basis`), by the deflation step of rank-one eigenvalue
+    updates (Bunch, Nielsen and Sorensen, Numer. Math. 1978): each row of mu
+    holds a candidate's own values, and shared = (vals, mult) the values
+    every candidate's spectrum also holds, vals[i] mult[i] times.
 
     lam, ascending, is cut into clusters from the bottom, each at most
     _CLUSTER_WIDTH * noise from its least to its greatest value, and each
@@ -546,9 +632,10 @@ def _spectra(lam: np.ndarray, z: np.ndarray, noise: float) -> np.ndarray:
     cluster do not add up.  In a cluster of m values, the m - 1 directions
     of its eigenspace that are orthogonal to the candidate keep lam_c after
     the downdate; what is left is the c x c :func:`_downdated` of lam_c off
-    zeta, the norms of z over the c clusters.  So each candidate's spectrum
-    is eigvalsh of one c x c matrix and each lam_c repeated m - 1 times;
-    where every cluster is one value, c = r and zeta = z.
+    zeta, the norms of z over the c clusters.  So a candidate's own values
+    are eigvalsh of one c x c matrix, and the clusters of m >= 2 values
+    share (lam_c, m - 1), which depend on lam alone, whatever the batch;
+    where every cluster is one value, c = r, zeta = z and nothing is shared.
 
     The spectra differ from the exact ones by at most the cluster width plus
     the backward errors of eigh and eigvalsh; the bracket's widening by
@@ -558,20 +645,18 @@ def _spectra(lam: np.ndarray, z: np.ndarray, noise: float) -> np.ndarray:
     for i in range(1, len(vals)):
         if vals[i] - vals[starts[-1]] > width:
             starts.append(i)
-    lam_c, zeta, kept = lam, z, lam[:0]
+    lam_c, zeta, shared = lam, z, (lam[:0], np.zeros(0, dtype=int))
     if len(starts) < lam.size:
         sizes = np.diff(starts + [lam.size])
         lam_c = np.add.reduceat(lam, starts) / sizes
         zeta = np.sqrt(np.add.reduceat(z * z, starts, axis=1))
-        kept = np.repeat(lam_c, sizes - 1)
+        repeated = sizes > 1
+        shared = (np.maximum(lam_c[repeated], 0.0), sizes[repeated] - 1)
     step = max(1, _BLOCK_BYTES // (8 * lam_c.size**2))
     mu = np.concatenate([np.linalg.eigvalsh(_downdated(lam_c, zeta[first : first + step]))
                          for first in range(0, z.shape[0], step)])
-    if kept.size:
-        mu = np.concatenate([mu, np.broadcast_to(kept, (z.shape[0], kept.size))], axis=1)
-        mu.sort(axis=1)
     np.maximum(mu, 0.0, out=mu)
-    return mu
+    return mu, shared
 
 
 def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_EPS) -> RootApprox:
@@ -594,8 +679,9 @@ def candidate_score(state: SelectionState, i: int, k: int, eps: float = DEFAULT_
     if np.sqrt(float(u @ u)) <= state.tol:
         raise DegenerateDirection(f"column {i} lies in the selected span")
     lam, z = _basis(state.e)
-    mu = _spectra(lam, z[i : i + 1], state.noise)
-    return RootApprox(float(_root_scores(mu, power, eps_s, state.noise)[0]) * state.scale, eps)
+    mu, shared = _spectra(lam, z[i : i + 1], state.noise)
+    score = _root_scores(mu, power, eps_s, state.noise, None, None, shared)[0]
+    return RootApprox(float(score) * state.scale, eps)
 
 
 def _advance(state: SelectionState, j: int) -> None:
@@ -634,7 +720,9 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     holds it neither wins nor ties, and when the chain is broken the least
     of these lower bounds is returned, which exceeds the chain bound.
     """
-    cands = np.delete(np.arange(state.e.shape[1]), state.chosen)
+    free = np.ones(state.e.shape[1], dtype=bool)
+    free[state.chosen] = False
+    cands = np.flatnonzero(free)
     u = state.e[:, cands].T
     admissible = np.sqrt(np.einsum("ij,ij->i", u, u)) > state.tol
     if not admissible.any():
@@ -653,8 +741,9 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
         floors = _score_floors(_lower_spectra(z, state.noise, lam), power, eps, state.noise,
                                tally, t)
         first = int(np.argmin(floors))
-        best = scores[first] = float(_root_scores(_spectra(lam, z[first : first + 1], state.noise),
-                                                  power, eps, state.noise, tally, t)[0])
+        mu, shared = _spectra(lam, z[first : first + 1], state.noise)
+        best = float(_root_scores(mu, power, eps, state.noise, tally, t, shared)[0])
+        scores[first] = best
         scored = floors <= best + _margin(best, eps, tie)
         scored[first] = True
         todo = scored.copy()
@@ -662,8 +751,8 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     else:
         t = None
     if todo.any():
-        scores[todo] = _root_scores(_spectra(lam, z[todo], state.noise), power, eps, state.noise,
-                                    tally, t)
+        mu, shared = _spectra(lam, z[todo], state.noise)
+        scores[todo] = _root_scores(mu, power, eps, state.noise, tally, t, shared)
     low = float(scores.min())
     state.tied = bool(np.all(scores <= low + _margin(low, eps, tie)))
     pos = int(np.argmax(scores <= low + tie))

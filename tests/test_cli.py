@@ -449,9 +449,9 @@ class TestExitCodes:
 
         calls = []
 
-        def rising(mu, power, eps, noise, tally=None, t=None):
+        def rising(mu, power, eps, noise, tally=None, t=None, shared=None):
             calls.append(power)
-            return scorer(mu, power, eps, noise, tally, t) + len(calls)
+            return scorer(mu, power, eps, noise, tally, t, shared) + len(calls)
 
         scorer = selector_mod._root_scores
         monkeypatch.setattr(selector_mod, "_root_scores", rising)
@@ -467,9 +467,9 @@ class TestExitCodes:
 
         calls = []
 
-        def lowered(mu, power, eps, noise, tally=None, t=None):
+        def lowered(mu, power, eps, noise, tally=None, t=None, shared=None):
             calls.append(power)
-            out = scorer(mu, power, eps, noise, tally, t)
+            out = scorer(mu, power, eps, noise, tally, t, shared)
             return out * 0.0 if len(calls) == 1 else out
 
         scorer = selector_mod._root_scores

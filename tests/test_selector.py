@@ -22,8 +22,16 @@ def _column_scores(state, cols, power, eps, t=None):
     """Certified scores of the columns cols of state's E, in the order given,
     by select's route: one _basis, then _spectra and _root_scores."""
     lam, z = selector_mod._basis(state.e)
-    mu = selector_mod._spectra(lam, z[cols], state.noise)
-    return selector_mod._root_scores(mu, power, eps, state.noise, None, t)
+    mu, shared = selector_mod._spectra(lam, z[cols], state.noise)
+    return selector_mod._root_scores(mu, power, eps, state.noise, None, t, shared)
+
+
+def _expanded(mu, shared):
+    """The full ascending spectra of _spectra's (mu, shared): each row's own
+    values with every shared value repeated its multiplicity."""
+    vals, mult = shared
+    kept = np.broadcast_to(np.repeat(vals, mult), (mu.shape[0], int(np.sum(mult))))
+    return np.sort(np.concatenate([mu, kept], axis=1), axis=1)
 
 
 class TestCandidateScore:
@@ -426,9 +434,9 @@ class TestStateConsistency:
                                                     None, t)[0] for i in range(len(cands))]
                 assert np.array_equal(floors, alone)
             if free.max() > 1.01 * free.min():  # not the hard instance's one score
-                mu = selector_mod._spectra(lam, z[cands], state.noise)
-                _, top, deg, b = selector_mod._live_rows(mu, power, state.noise)
-                drop = selector_mod._anchored(b, power, deg, top, eps, median)[2]
+                mu, shared = selector_mod._spectra(lam, z[cands], state.noise)
+                _, top, deg, b, mult = selector_mod._live_rows(mu, power, state.noise, shared)
+                drop = selector_mod._anchored(b, power, deg, top, eps, median, None, mult)[2]
                 assert drop.any() and not drop.all()
             selector_mod._advance(state, int(cands[np.argmin(free)]))
 
@@ -484,6 +492,45 @@ def _row_major_taylor(x, b, orders):
     return c, h
 
 
+def _unfolded(b, mult):
+    """b with each of its last len(mult) columns repeated mult times."""
+    own = b.shape[1] - len(mult)
+    return np.concatenate([b[:, :own], np.repeat(b[:, own:], mult, axis=1)], axis=1)
+
+
+def _mp_taylor(mpmath, x, b, mult, h, orders, high):
+    """_taylor's data at 40 digits from its own h: each row's product of
+    ((a_j - b_j h s) / (|a_j| + b_j h))^(m_j), a_j = 1 - b_j x, expanded in
+    full, and of the same factors with |a_j|; the lowest orders of the
+    first, or the top orders of both."""
+    own = b.shape[1] - len(mult)
+    coefs, sizes = [], []
+    with mpmath.workdps(40):
+        for row, xr, hr in zip(b, x, h):
+            poly, size = [mpmath.mpf(1)], [mpmath.mpf(1)]
+            for j, bj in enumerate(row.tolist()):  # a zero b_j gives the factor 1
+                a = 1 - mpmath.mpf(bj) * mpmath.mpf(float(xr))
+                bh = mpmath.mpf(bj) * mpmath.mpf(float(hr))
+                alpha, beta = a / (abs(a) + bh), bh / (abs(a) + bh)
+                m = 1 if j < own else int(mult[j - own])
+                for target, lead in ((poly, alpha), (size, abs(alpha))):
+                    sign = -1 if target is poly else 1
+                    factor = [mpmath.binomial(m, i) * lead ** (m - i) * (sign * beta) ** i
+                              for i in range(m + 1)]
+                    product = [mpmath.mpf(0)] * (len(target) + m)
+                    for i, p in enumerate(target):
+                        for l, f in enumerate(factor):
+                            product[i + l] += p * f
+                    target[:] = product
+            if high:
+                coefs.append([float(v) for v in poly[len(poly) - orders :]])
+                sizes.append([float(v) for v in size[len(size) - orders :]])
+            else:
+                coefs.append([float(v) for v in poly[:orders]])
+                sizes.append([float(v) for v in size[:orders]])
+    return np.array(coefs), np.array(sizes)
+
+
 class TestTaylor:
     @pytest.mark.parametrize("orders", [1, 3, 17])
     def test_matches_row_major_loop(self, orders):
@@ -516,6 +563,71 @@ class TestTaylor:
         bound = 2 * (selector_mod._ROUNDING * 12 + 10) * MACHINE_EPS * sizes
         assert np.all(np.abs(c - full[:, 13 - orders :]) <= bound)
 
+    @pytest.mark.parametrize("high", [False, True])
+    @pytest.mark.parametrize("m", [2, 47, 1100])
+    def test_fold_matches_expanded_columns_and_high_precision(self, m, high):
+        # a shared value of multiplicity m, beside one of multiplicity 3 (so
+        # a second fold is convolved in), on rows where x is below the
+        # value's root (alpha > 0), beyond it (alpha < 0) and on it
+        # (alpha = 0); 1100 is folded in two parts, C(1100, 550) being
+        # past the largest double
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.Generator(np.random.Philox(m))
+        b = rng.uniform(0.05, 1.0, size=(6, 12))
+        b[:, 0] = 1.0
+        b[rng.uniform(size=b.shape) < 0.2] = 0.0
+        b[:, -2] = [0.3, 0.3, 0.5, 0.25, 0.7, 0.05]
+        x = np.array([1.5, 5.0, 2.0, 4.0, 1.2, 1.0])
+        a_fold = 1.0 - b[:, -2] * x
+        assert (a_fold > 0.0).any() and (a_fold < 0.0).any() and (a_fold == 0.0).sum() == 2
+        mult = np.array([m, 3])
+        orders = 13
+        folded = selector_mod._taylor(x, b, orders, high, mult)
+        expanded = selector_mod._taylor(x, _unfolded(b, mult), orders, high)
+        c, h = folded[:2]
+        # h's logarithms summed once per fold or once per column
+        assert np.allclose(h, expanded[1], rtol=1e-12, atol=0.0)
+        n = (_unfolded(b, mult) > 0.0).sum(axis=1)
+        for (got, at), folds in ((folded[:2], 2), (expanded[:2], 0)):
+            ref, sizes = _mp_taylor(mpmath, x, b, mult, at, orders, high)
+            bound = (selector_mod._ROUNDING * (n + folds) + 10)[:, None] * MACHINE_EPS * sizes
+            # terms below the least double are lost, by both routes
+            assert np.all(np.abs(got - ref) <= bound + 1e-300)
+            if high and folds:
+                assert np.all(np.abs(folded[2] - sizes) <= bound + 1e-300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(2, 30),
+        spread=st.sampled_from([1.0, 1e3, 1e6, 1e12]),
+        zeros=st.integers(0, 3),
+        mult=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
+        power_frac=st.floats(0.0, 1.0),
+        shift=st.floats(-0.5, 0.5),
+    )
+    def test_count_slack_bounds_folded_high_orders(self, r, spread, zeros, mult, seed, power_frac,
+                                                    shift):
+        # the root count's coefficients at x0 = max(1, top / t), with
+        # shared values folded, are within the slack _anchored gives them
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.Generator(np.random.Philox(seed))
+        mu = _count_spectra(8, r, spread, min(zeros, r - 1), 0, seed)
+        vals = np.sort(10.0 ** rng.uniform(-np.log10(spread), 0.0, size=len(mult)))
+        shared = (vals, np.array(mult)[np.argsort(rng.uniform(size=len(mult)))])
+        noise = r * MACHINE_EPS
+        n = r - min(zeros, r - 1) + sum(mult)
+        power = 1 + int(power_frac * (n - 2))
+        free = selector_mod._root_scores(mu, power, 1e-9, noise, None, None, shared)
+        t = float(np.median(free)) * 10.0**shift
+        _, top, deg, b, folds = selector_mod._live_rows(mu, power, noise, shared)
+        x0 = np.maximum(1.0, top / t)
+        orders = b.shape[1] - len(folds) + int(sum(folds)) - power + 1  # as _anchored's
+        g, h, sizes = selector_mod._taylor(x0, b, orders, True, folds)
+        ref, _ = _mp_taylor(mpmath, x0, b, folds, h, orders, True)
+        slack = (selector_mod._ROUNDING * (deg + power + len(folds)) + 10)[:, None] * MACHINE_EPS
+        assert np.all(np.abs(g - ref) <= slack * sizes)
+
 
 class TestTieBreak:
     def test_hard_instance_ties_go_to_smallest_index(self):
@@ -534,9 +646,9 @@ def lowered_head(scorer):
     select, set to 0."""
     calls = []
 
-    def lowered(mu, power, eps, noise, tally=None, t=None):
+    def lowered(mu, power, eps, noise, tally=None, t=None, shared=None):
         calls.append(power)
-        out = scorer(mu, power, eps, noise, tally, t)
+        out = scorer(mu, power, eps, noise, tally, t, shared)
         return out * 0.0 if len(calls) == 1 else out
 
     return lowered
@@ -546,9 +658,9 @@ def rising_scores(scorer):
     """The scorer with 1, 2, 3, ... added to the scores of successive calls."""
     calls = []
 
-    def rising(mu, power, eps, noise, tally=None, t=None):
+    def rising(mu, power, eps, noise, tally=None, t=None, shared=None):
         calls.append(power)
-        return scorer(mu, power, eps, noise, tally, t) + len(calls)
+        return scorer(mu, power, eps, noise, tally, t, shared) + len(calls)
 
     return rising
 
@@ -800,7 +912,7 @@ class TestAnchoredCount:
         t = max(float(free[rng.integers(free.size)]), eps) * 10.0**shift
         anchored = selector_mod._root_scores(mu, power, eps, noise, None, t)
         floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
-        live, top, deg, b = selector_mod._live_rows(mu, power, noise)
+        live, top, deg, b, _ = selector_mod._live_rows(mu, power, noise)
         drop = np.zeros(mu.shape[0], dtype=bool)
         drop[live] = selector_mod._anchored(b, power, deg, top, eps, t)[2]
         tol = np.maximum(eps, 64 * MACHINE_EPS * free)
@@ -823,7 +935,7 @@ class TestAnchoredCount:
         free = selector_mod._root_scores(mu, power, eps, noise)
         t = 0.5 * (free[0] + free[1])
         assert free[1] < free[2] == 0.1 < t < free[0]
-        _, top, deg, b = selector_mod._live_rows(mu, power, noise)
+        _, top, deg, b, _ = selector_mod._live_rows(mu, power, noise)
         x, cap, drop = selector_mod._anchored(b, power, deg, top, eps, t)
         assert drop.tolist() == [True, False, False]
         assert top[1] / t < x[1] <= cap[1]
@@ -915,7 +1027,7 @@ class TestDeflation:
         cols = _admissible(state)
         b = state.e @ state.e.T
         lam, z = selector_mod._basis(state.e)
-        got = selector_mod._spectra(lam, z[cols], state.noise)
+        got = _expanded(*selector_mod._spectra(lam, z[cols], state.noise))
         want = np.maximum(np.linalg.eigvalsh(_projected(b, state.e[:, cols].T)), 0.0)
         assert np.max(np.abs(got - want)) <= state.noise
 
@@ -965,7 +1077,7 @@ class TestStructuralZeros:
         a = _small_input(kind, n, d, seed)
         state = _walk(a, picked, seed)
         lam, z = selector_mod._basis(state.e)
-        mu = selector_mod._spectra(lam, z[_admissible(state)], state.noise)
+        mu = _expanded(*selector_mod._spectra(lam, z[_admissible(state)], state.noise))
         zeros = min(a.shape) - state.eigs.size + 1
         assert np.all(mu[:, :zeros] <= state.noise)
 
@@ -1016,7 +1128,7 @@ class TestBracketPass:
         b = state.e @ state.e.T
         mu = np.maximum(np.linalg.eigvalsh(_projected(b, state.e[:, cols].T)), 0.0)
         # the exact path's spectra, clusters of eigh(b) deflated
-        used = selector_mod._spectra(lam, z[cols], state.noise)
+        used = _expanded(*selector_mod._spectra(lam, z[cols], state.noise))
         assert lower.shape == mu.shape == used.shape
         assert np.all(lower <= mu)
         assert np.all(lower <= used)
