@@ -294,7 +294,12 @@ def _rel_err(x: float, y: float) -> float:
 def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     """Run every identity check on one instance and collect max errors.
 
-    Pass/fail thresholds live in IDENTITY_TOLERANCES; callers compare.
+    Pass/fail thresholds live in IDENTITY_TOLERANCES; callers compare.  The
+    checks run on 2^-m A, 4^-m lam_1 in [1/2, 2] as in select's
+    initial_state, with eps and the rank tolerance scaled alike: the
+    coefficient errors and the absolute eps weigh terms of different
+    sizes, so on the input scale they would depend on it.  The optimum, ck
+    and the expected polynomial are scaled back exactly.
     """
     arr = as_matrix(a)
     d = arr.shape[1]
@@ -302,6 +307,9 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     eigs, tol = gram_spectrum(arr)
     t = eigs.size
     _check_rank(k, t)
+    m = min(int(np.round(np.log2(eigs[0]) / 2.0)), 511)
+    arr, eigs, tol = np.ldexp(arr, -m), np.ldexp(eigs, -2 * m), np.ldexp(tol, -m)
+    eps = eps * 4.0**-m
     errors: dict[str, float] = {}
 
     # det[x I - A^T A] with exactly d - t zero roots, the rest from the spectrum
@@ -354,8 +362,9 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     best_subset, best_res = brute_force_best(arr, k)
     return OracleReport(
         best_subset=best_subset,
-        best_residual_sq=best_res,
-        expected_poly=expected,
-        ck=ck,
+        best_residual_sq=float(np.ldexp(best_res, 2 * m)),
+        # coefficient i sums k determinants times d - i roots
+        expected_poly=np.ldexp(expected, 2 * m * (k + d - np.arange(d + 1))),
+        ck=float(np.ldexp(ck, 2 * k * m)),
         identity_errors=errors,
     )

@@ -173,11 +173,11 @@ def _prepare(c):
     top = np.max(np.abs(p))
     if top == 0.0:
         raise ZeroPolynomial("the zero polynomial has no root structure")
-    # Before the variable rescale only denormal-level junk may be stripped:
-    # a legitimate leading coefficient can sit 1e16 below the peak when the
-    # roots are large.  The 1e-12 threshold is only safe in the balanced
-    # basis produced below.
-    p0 = _strip_leading(_pow2_normalize(p), rel_tol=1e-280)
+    # Before the variable rescale only exact zeros may be stripped: the
+    # leading coefficient sits below the peak by about the product of the
+    # roots, which may pass 1e280.  The 1e-12 threshold is only safe in the
+    # balanced basis produced below.
+    p0 = _strip_leading(_pow2_normalize(p), rel_tol=0.0)
     exp = _root_scale_exp(p0)
     scale = 2.0**exp
     if exp != 0:

@@ -56,6 +56,8 @@ class TestSpectrumInfo:
         info = spectrum_of(hard_instance(4, 1.0))
         assert info.t == 4
         assert info.alpha == pytest.approx(1.25, rel=1e-10)
+        with pytest.raises(EmptySpectrum, match="^matrix has numerical rank zero$"):
+            spectrum_of(np.zeros((3, 2)))
 
 
 class TestGammaFactor:
@@ -73,6 +75,8 @@ class TestGammaFactor:
             gamma_factor(0, info)
         with pytest.raises(OutOfRegime):
             gamma_factor(10, info)
+        with pytest.raises(OutOfRegime, match="^equal spectrum: the interpolation factor is undefined$"):
+            gamma_factor(1, spectrum_info([2.0, 2.0, 2.0]))
 
     def test_increases_toward_one(self):
         info = hard_spectrum(12, 1.0)
@@ -101,6 +105,14 @@ class TestResidualBound:
         report = residual_bound(hard_spectrum(10, 1.0), 0)
         assert report.bound == pytest.approx(11.0)
         assert not report.applicable
+
+    def test_at_rank_reports_alpha(self):
+        # gamma clamps to 1 from k = t on, where the bound is alpha
+        info = hard_spectrum(10, 1.0)
+        for k in (10, 12):
+            report = residual_bound(info, k)
+            assert report.gamma == 1.0 and not report.applicable
+            assert report.bound == pytest.approx(info.alpha, rel=1e-12)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
@@ -153,6 +165,8 @@ class TestHardInstanceBounds:
                     assert lower <= upper + 1e-12
 
     def test_preconditions(self):
+        with pytest.raises(ValueError, match="^hard instance needs d >= 2$"):
+            hard_instance_bounds(1, 1.0, 1)
         with pytest.raises(ValueError):
             hard_instance_bounds(4, 1.0, 4)
         with pytest.raises(ValueError):
@@ -173,6 +187,12 @@ class TestBarrierBound:
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegime):
             barrier_root_bound([1.0] * 4, 2)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="^need at least one root$"):
+            barrier_root_bound([], 1)
+        with pytest.raises(ValueError, match=r"^roots must lie in \[0, 1\]$"):
+            barrier_root_bound([2.0], 1)
 
     def test_recovers_residual_bound(self):
         # the substituted-polynomial route must reproduce the main bound

@@ -107,6 +107,14 @@ class TestSelectCommand:
                           "-k", "3")
         assert code == 1
 
+    def test_eps_option_is_reported(self, capsys):
+        code, out = run_cli(capsys, "select", "--instance", "hard:d=4,delta=1", "-k", "2",
+                            "--eps", "1e-6", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["eps"] == 1e-6
+        assert report["subset"] == [1, 2]
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "abc"])
     def test_bad_eps_is_usage_error(self, capsys, eps):
         code = main(["select", "--instance", "random:n=6,d=8,seed=3", "-k", "3",
@@ -398,6 +406,18 @@ class TestUsageErrors:
     def test_bad_instance(self, capsys):
         assert main(["bound", "--instance", "bogus:q=1", "-k", "1"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--instance", "hard:d=3", "-k", "1", "--threads", "0"], "threads must be >= 1 or 'auto'"),
+        (["--instance", "random:n=4,d", "-k", "1"],
+         "bad instance parameter 'd', expected key=value"),
+    ], ids=["threads-0", "parameter-without-value"])
+    def test_rejected_with_message(self, capsys, argv, message):
+        code = main(["select", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
@@ -480,9 +500,9 @@ class TestExitCodes:
         assert "score chain violated at iteration 1:" in err and "inf" not in err
 
     def test_uncertified_score_exits_3(self, capsys, monkeypatch):
-        import cssp.selector as selector_mod
+        import cssp.roots as roots_mod
 
-        monkeypatch.setattr(selector_mod, "_CERTIFICATE_RETRIES", -1)
+        monkeypatch.setattr(roots_mod, "_CERTIFICATE_RETRIES", -1)
         code = main(["select", "--instance", "random:n=6,d=6,seed=0", "-k", "3"])
         err = capsys.readouterr().err
         assert code == 3

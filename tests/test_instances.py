@@ -51,6 +51,8 @@ class TestPowerLaw:
     def test_validation(self):
         with pytest.raises(ValueError):
             power_law(3, 3, 4, 1.0, 1.0, 0)
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            power_law(3, 3, 2, 1.0, 0.0, 0)
 
 
 class TestDeterminism:
@@ -58,6 +60,10 @@ class TestDeterminism:
         a = power_law(8, 6, 5, 1.5, 2.0, 123)
         b = power_law(8, 6, 5, 1.5, 2.0, 123)
         assert np.array_equal(a, b)
+
+    def test_random_gaussian_validation(self):
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            random_gaussian(0, 3, 1)
 
     def test_random_gaussian_bit_identical(self):
         assert np.array_equal(random_gaussian(7, 5, 9), random_gaussian(7, 5, 9))

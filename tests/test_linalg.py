@@ -45,6 +45,10 @@ class TestGram:
         with pytest.raises(ValueError):
             gram(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="^expected a nonempty 2-D matrix$"):
+            gram(np.ones(3))
+
 
 class TestEigenvalues:
     def test_diagonal(self):
@@ -70,6 +74,8 @@ class TestEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            sym_eigenvalues(np.ones((2, 3)))
 
     def test_high_relative_accuracy_on_graded_spectrum(self):
         # eigvalsh's absolute error, about eps * ||M||_2, is inside the 1e-15
@@ -130,6 +136,10 @@ class TestProjectorUpdate:
     def test_degenerate_direction(self):
         with pytest.raises(DegenerateDirection):
             projector_update(np.diag([0.0, 1.0]), [1.0, 0.0])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="^vector length does not match projector dimension$"):
+            projector_update(np.eye(3), [1.0, 0.0])
 
     def test_symmetry_idempotency_trace(self):
         rng = np.random.default_rng(5)
@@ -236,6 +246,10 @@ class TestResidual:
     def test_duplicate_subset_rejected(self):
         with pytest.raises(ValueError):
             residual_spectral_sq(np.eye(3), [0, 0])
+
+    def test_out_of_range_subset_rejected(self):
+        with pytest.raises(ValueError, match=r"^column index 3 out of range \[0, 3\)$"):
+            residual_spectral_sq(np.eye(3), [0, 3])
 
 
 class TestRank:

@@ -46,6 +46,11 @@ class TestBruteForce:
         with pytest.raises(TooManySubsets):
             brute_force_best(np.ones((2, 60)), 30)
 
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match="^need 0 <= k <= d$"):
+            brute_force_best(np.eye(3), k)
+
 
 class TestExpectedPolynomial:
     def test_two_term_sum(self):
@@ -78,6 +83,9 @@ class TestExpectedPolynomial:
             subsets = [[], [0], [1, 3]]
             s = subsets[int(rng.integers(0, 3))]
             assert weighted_step_identity_error(a, s) <= 1e-7
+        # a copy of a chosen column lies in its span and adds no term
+        a = random_gaussian(5, 3, 1)[:, [0, 1, 0, 2]]
+        assert weighted_step_identity_error(a, [0]) <= 1e-7
 
     def test_tminus1_shape_gives_alpha(self):
         # after t-1 operator applications only x^(d-1) (x - alpha) survives
@@ -109,6 +117,8 @@ class TestDeterminants:
         assert gram_det_sum(a, 1) == pytest.approx(4.0)
         assert gram_det_sum(a, 2) == pytest.approx(3.0)
         assert gram_det_sum(a, 0) == 1.0
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            gram_det_sum(a, -1)
 
     def test_subset_sum_two_routes(self):
         # the rank-2 products have no nonzero 3-subset determinant; Gram
@@ -151,6 +161,9 @@ class TestVolumeSamplingMeans:
         assert expected_frobenius_residual(a, 0) == pytest.approx(4.0)
         h = hard_instance(4, 1.0)
         assert expected_frobenius_residual(h, 3) == pytest.approx(1.25, rel=1e-9)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="^need 0 <= k < rank$"):
+                expected_frobenius_residual(a, k)
 
     def test_frobenius_formula_matches_enumeration(self):
         for seed in range(12):
@@ -183,6 +196,10 @@ class TestRestrictedInvertibility:
         with pytest.raises(NotFullColumnRank):
             restricted_invertibility_pair(np.ones((4, 3)), [0])
 
+    def test_requires_a_proper_subset(self):
+        with pytest.raises(ValueError, match="^the subset must be a proper subset of the columns$"):
+            restricted_invertibility_pair(np.eye(3), [0, 1, 2])
+
 
 class TestSandwich:
     def test_brute_force_le_greedy_le_bound(self):
@@ -214,21 +231,52 @@ class TestSandwich:
             assert svd_residual_sq(a, s) == pytest.approx(
                 residual_spectral_sq(a, s), rel=1e-8
             )
+        # no column chosen: the squared norm of A
+        assert svd_residual_sq(a, []) == pytest.approx(np.linalg.norm(a, 2) ** 2, rel=1e-12)
+
+
+def _scaled_copy(m, a):
+    """Whether m is a times a power of two, as the identity suite runs on a
+    power-of-two rescale of its input."""
+    ratio = m[0, 0] / a[0, 0] if np.shape(m) == a.shape else 0.0
+    return bool(ratio > 0.0 and np.frexp(ratio)[0] == 0.5 and np.array_equal(m, a * ratio))
 
 
 class TestIdentitySuite:
     # the power-law input is full rank, and its two lowest Gram polynomial
     # coefficients are 1.3e-14 and 1.7e-11 of the largest: none is noise
+    # (scaled inputs: the tolerances hold whatever the input's scale)
     @pytest.mark.parametrize("a, k", [
         (random_gaussian(6, 6, 1), 3),
         (random_gaussian(4, 7, 9), 2),
         (power_law(8, 8, 8, 3, 1, 1), 5),
         (power_law(8, 8, 8, 3, 1, 1), 7),
-    ], ids=["random6x6", "wide4x7", "power8-k5", "power8-k7"])
+        *[(f * random_gaussian(6, 6, 1), 3) for f in (100.0, 1e4, 2.0**20, 1e8)],
+        (1e3 * random_gaussian(8, 10, 1), 4),
+        *[(f * power_law(8, 8, 8, 3, 1, 1), 5) for f in (100.0, 1e8)],
+    ], ids=["random6x6", "wide4x7", "power8-k5", "power8-k7", "random6x6-x100", "random6x6-x1e4",
+            "random6x6-x2^20", "random6x6-x1e8", "wide8x10-x1e3", "power8-k5-x100",
+            "power8-k5-x1e8"])
     def test_identities_within_tolerance(self, a, k):
         report = run_identity_suite(a, k)
         for name, err in report.identity_errors.items():
             assert err <= IDENTITY_TOLERANCES[name], (name, err)
+
+    def test_outputs_on_the_input_scale(self):
+        # the suite runs on a power-of-two rescale of A, so 2^20 A, with eps
+        # scaled alike, gives the same identity errors and A's outputs times
+        # exact powers of two
+        a = random_gaussian(6, 6, 1)
+        base, scaled = run_identity_suite(a, 3), run_identity_suite(2.0**20 * a, 3, 2.0**40 * 1e-9)
+        assert scaled.identity_errors == base.identity_errors
+        assert scaled.best_subset == base.best_subset
+        assert scaled.best_residual_sq == 2.0**40 * base.best_residual_sq
+        assert scaled.ck == 2.0**120 * base.ck
+        assert np.array_equal(scaled.expected_poly,
+                              base.expected_poly * 2.0 ** (40 * (3 + 6 - np.arange(7))))
+        assert base.ck == pytest.approx(gram_det_sum(a, 3), rel=1e-12)
+        assert np.allclose(base.expected_poly, expected_poly_bruteforce(a, 3), rtol=1e-9,
+                           atol=1e-9 * np.max(np.abs(base.expected_poly)))
 
     def test_all_pass_on_seeded_instance(self):
         report = run_identity_suite(random_gaussian(6, 6, 1), 3)
@@ -248,7 +296,7 @@ class TestIdentitySuite:
         calls = []
 
         def counting_svd(m, *args, **kwargs):
-            calls.append(np.shape(m) == a.shape and np.array_equal(m, a))
+            calls.append(_scaled_copy(m, a))
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -273,7 +321,7 @@ class TestIdentitySuite:
             return gram_spectrum(m)
 
         def counting_pinv(m, *args, **kwargs):
-            pinvs.append(np.shape(m) == a.shape and np.array_equal(m, a))
+            pinvs.append(_scaled_copy(m, a))
             return pinv(m, *args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "gram_spectrum", counting_spectrum)

@@ -191,6 +191,17 @@ class TestExtremeRoots:
         huge = npoly.polyfromroots([1e5, 3e5, 7e5])
         assert abs(maxroot(huge, 1e-3).value - 7e5) <= 1e-2
 
+    @pytest.mark.parametrize("roots, eps, rel", [
+        (np.array([1e140, 2e140]), 1e131, 0.0),
+        (1e30 * np.arange(1.0, 11.0), 1e21, 1e-8),
+    ], ids=["two-roots", "ten-roots"])
+    def test_root_product_past_1e280(self, roots, eps, rel):
+        # the leading coefficient lies 1e-280 below the largest, and is kept;
+        # ten roots rescale their variable in log space
+        p = npoly.polyfromroots(roots)
+        for finder, want in ((maxroot, roots[-1]), (minroot, roots[0])):
+            assert abs(finder(p, eps).value - want) <= max(eps, rel * want)
+
     def test_graded_coefficients(self):
         # many zero roots next to a tight small cluster
         roots = 1e-3 * np.array([0.2, 0.5, 1.0, 1.9])
@@ -219,6 +230,23 @@ class TestExtremeRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             maxroot(coeffs(0, 0, 0), 1e-6)
+        with pytest.raises(ZeroPolynomial, match="^the zero polynomial has no root bound$"):
+            cauchy_bound(coeffs(0, 0))
+
+    @pytest.mark.parametrize("c, message", [
+        ([], "^polynomial must be a nonempty 1-D coefficient array$"),
+        ([[1.0, 2.0]], "^polynomial must be a nonempty 1-D coefficient array$"),
+        ([1.0, np.inf], "^polynomial coefficients must be finite$"),
+    ], ids=["empty", "2-D", "infinite"])
+    def test_bad_coefficients_rejected(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            maxroot(c, 1e-6)
+
+    def test_negative_orders_rejected(self):
+        with pytest.raises(ValueError, match="^derivative order must be nonnegative$"):
+            derivative(coeffs(3, -4, 1), -1)
+        with pytest.raises(ValueError, match="^operator power must be nonnegative$"):
+            polar_power(coeffs(3, -4, 1), -1)
 
     def test_cauchy_bound_contains_roots(self):
         p = npoly.polyfromroots([0.5, 2.0, 9.0])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cssp.roots as roots_mod
 import cssp.selector as selector_mod
 from cssp.bounds import residual_bound, spectrum_of
-from cssp.errors import CertificateViolation, DegenerateDirection, RankExceeded
+from cssp.errors import (AllCandidatesDegenerate, CertificateViolation, DegenerateDirection,
+                         RankExceeded)
 from cssp.instances import hard_instance, power_law, random_gaussian
 from cssp.linalg import MACHINE_EPS, char_poly, gram, gram_spectrum, residual_spectral_sq
 from cssp.polynomial import maxroot, polar_power
@@ -149,7 +151,7 @@ class TestSelect:
 
     def test_uncertified_score_raises(self, monkeypatch):
         # with no pass allowed, the first score the Taylor loop refines fails
-        monkeypatch.setattr(selector_mod, "_CERTIFICATE_RETRIES", -1)
+        monkeypatch.setattr(roots_mod, "_CERTIFICATE_RETRIES", -1)
         with pytest.raises(CertificateViolation,
                            match=r"^score \S+ of spectrum row \d+ could not be certified within \S+$"):
             select(random_gaussian(6, 6, 0), 3)
@@ -366,6 +368,14 @@ class TestStateConsistency:
         assert sorted(result.subset) == list(range(6))
         assert shapes == [(6 - l, 6) for l in range(1, 7)]
 
+    def test_pick_after_every_column_raises(self):
+        state = initial_state(np.eye(2))
+        for j in (0, 1):
+            selector_mod._advance(state, j)
+        with pytest.raises(AllCandidatesDegenerate,
+                           match=r"^no admissible column at iteration 3; cannot happen for k <= rank$"):
+            selector_mod._pick(state, 0, 1e-9, 0.0)
+
     def test_candidate_score_on_deflated_state_matches_select(self):
         from cssp.selector import _advance
 
@@ -435,8 +445,8 @@ class TestStateConsistency:
                 assert np.array_equal(floors, alone)
             if free.max() > 1.01 * free.min():  # not the hard instance's one score
                 mu, shared = selector_mod._spectra(lam, z[cands], state.noise)
-                _, top, deg, b, mult = selector_mod._live_rows(mu, power, state.noise, shared)
-                drop = selector_mod._anchored(b, power, deg, top, eps, median, None, mult)[2]
+                _, top, deg, b, mult = roots_mod._live_rows(mu, power, state.noise, shared)
+                drop = roots_mod._anchored(b, power, deg, top, eps, median, None, mult)[2]
                 assert drop.any() and not drop.all()
             selector_mod._advance(state, int(cands[np.argmin(free)]))
 
@@ -539,7 +549,7 @@ class TestTaylor:
         b[rng.uniform(size=b.shape) < 0.25] = 0.0
         b[:, 0] = 1.0  # every row keeps a live entry
         x = rng.uniform(0.5, 1.5, size=9)
-        c, h = selector_mod._taylor(x, b, orders)
+        c, h = roots_mod._taylor(x, b, orders)
         ref_c, ref_h = _row_major_taylor(x, b.copy(), orders)
         assert c.shape == (9, orders)
         assert np.array_equal(c, ref_c)
@@ -555,12 +565,12 @@ class TestTaylor:
         b[rng.uniform(size=b.shape) < 0.25] = 0.0
         b[:, 0] = 1.0
         x = rng.uniform(0.5, 3.0, size=9)
-        full, h = selector_mod._taylor(x, b, 13)
-        c, high_h, sizes = selector_mod._taylor(x, b, orders, True)
+        full, h = roots_mod._taylor(x, b, 13)
+        c, high_h, sizes = roots_mod._taylor(x, b, orders, True)
         assert c.shape == sizes.shape == (9, orders)
         assert np.array_equal(high_h, h)
         assert np.all(np.abs(c) <= sizes * (1.0 + 1e-12))
-        bound = 2 * (selector_mod._ROUNDING * 12 + 10) * MACHINE_EPS * sizes
+        bound = 2 * (roots_mod._ROUNDING * 12 + 10) * MACHINE_EPS * sizes
         assert np.all(np.abs(c - full[:, 13 - orders :]) <= bound)
 
     @pytest.mark.parametrize("high", [False, True])
@@ -582,15 +592,15 @@ class TestTaylor:
         assert (a_fold > 0.0).any() and (a_fold < 0.0).any() and (a_fold == 0.0).sum() == 2
         mult = np.array([m, 3])
         orders = 13
-        folded = selector_mod._taylor(x, b, orders, high, mult)
-        expanded = selector_mod._taylor(x, _unfolded(b, mult), orders, high)
+        folded = roots_mod._taylor(x, b, orders, high, mult)
+        expanded = roots_mod._taylor(x, _unfolded(b, mult), orders, high)
         c, h = folded[:2]
         # h's logarithms summed once per fold or once per column
         assert np.allclose(h, expanded[1], rtol=1e-12, atol=0.0)
         n = (_unfolded(b, mult) > 0.0).sum(axis=1)
         for (got, at), folds in ((folded[:2], 2), (expanded[:2], 0)):
             ref, sizes = _mp_taylor(mpmath, x, b, mult, at, orders, high)
-            bound = (selector_mod._ROUNDING * (n + folds) + 10)[:, None] * MACHINE_EPS * sizes
+            bound = (roots_mod._ROUNDING * (n + folds) + 10)[:, None] * MACHINE_EPS * sizes
             # terms below the least double are lost, by both routes
             assert np.all(np.abs(got - ref) <= bound + 1e-300)
             if high and folds:
@@ -618,14 +628,14 @@ class TestTaylor:
         noise = r * MACHINE_EPS
         n = r - min(zeros, r - 1) + sum(mult)
         power = 1 + int(power_frac * (n - 2))
-        free = selector_mod._root_scores(mu, power, 1e-9, noise, None, None, shared)
+        free = roots_mod._root_scores(mu, power, 1e-9, noise, None, None, shared)
         t = float(np.median(free)) * 10.0**shift
-        _, top, deg, b, folds = selector_mod._live_rows(mu, power, noise, shared)
+        _, top, deg, b, folds = roots_mod._live_rows(mu, power, noise, shared)
         x0 = np.maximum(1.0, top / t)
         orders = b.shape[1] - len(folds) + int(sum(folds)) - power + 1  # as _anchored's
-        g, h, sizes = selector_mod._taylor(x0, b, orders, True, folds)
+        g, h, sizes = roots_mod._taylor(x0, b, orders, True, folds)
         ref, _ = _mp_taylor(mpmath, x0, b, folds, h, orders, True)
-        slack = (selector_mod._ROUNDING * (deg + power + len(folds)) + 10)[:, None] * MACHINE_EPS
+        slack = (roots_mod._ROUNDING * (deg + power + len(folds)) + 10)[:, None] * MACHINE_EPS
         assert np.all(np.abs(g - ref) <= slack * sizes)
 
 
@@ -821,7 +831,7 @@ class TestProductFormScores:
         mpmath = pytest.importorskip("mpmath")
         mu, noise, left = _spectra(n, ratio, kind, seed, picked)
         power = int(power_frac * (left - 1))
-        got = selector_mod._root_scores(mu, power, eps, noise)
+        got = roots_mod._root_scores(mu, power, eps, noise)
         for value, row in zip(got, mu):
             ref = _mp_score(mpmath, row, power, noise)
             assert abs(value - ref) <= max(eps, 64 * MACHINE_EPS * ref)
@@ -837,7 +847,7 @@ class TestProductFormScores:
         mpmath = pytest.importorskip("mpmath")
         mu = _count_spectra(*args)
         noise = args[1] * MACHINE_EPS
-        got = selector_mod._root_scores(mu, power, 1e-16, noise)
+        got = roots_mod._root_scores(mu, power, 1e-16, noise)
         for value, row in zip(got, mu):
             ref = _mp_score(mpmath, row, power, noise)
             assert abs(value - ref) <= max(1e-16, 64 * MACHINE_EPS * ref)
@@ -862,8 +872,8 @@ class TestPowerZeroScores:
         mu, noise, _ = _spectra(n, ratio, kind, seed, picked)
         want = np.where(mu[:, -1] > noise, mu[:, -1], 0.0)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(selector_mod, "_taylor", _refused)
-            for scorer in (selector_mod._root_scores, selector_mod._score_floors):
+            patch.setattr(roots_mod, "_taylor", _refused)
+            for scorer in (roots_mod._root_scores, roots_mod._score_floors):
                 tally = Counter()
                 got = scorer(mu, 0, 1e-9, noise, tally)
                 assert got.tobytes() == want.tobytes()
@@ -907,14 +917,14 @@ class TestAnchoredCount:
         noise = r * MACHINE_EPS
         left = r - min(zeros, r - 1)
         power = 1 + int(power_frac * (left - 2)) if left > 1 else 1
-        free = selector_mod._root_scores(mu, power, eps, noise)
+        free = roots_mod._root_scores(mu, power, eps, noise)
         rng = np.random.Generator(np.random.Philox(seed))
         t = max(float(free[rng.integers(free.size)]), eps) * 10.0**shift
-        anchored = selector_mod._root_scores(mu, power, eps, noise, None, t)
-        floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
-        live, top, deg, b, _ = selector_mod._live_rows(mu, power, noise)
+        anchored = roots_mod._root_scores(mu, power, eps, noise, None, t)
+        floors = roots_mod._score_floors(mu, power, eps, noise, None, t)
+        live, top, deg, b, _ = roots_mod._live_rows(mu, power, noise)
         drop = np.zeros(mu.shape[0], dtype=bool)
-        drop[live] = selector_mod._anchored(b, power, deg, top, eps, t)[2]
+        drop[live] = roots_mod._anchored(b, power, deg, top, eps, t)[2]
         tol = np.maximum(eps, 64 * MACHINE_EPS * free)
         for got in (anchored, floors):
             assert np.all(got[drop] >= t * (1.0 - MACHINE_EPS))
@@ -932,19 +942,19 @@ class TestAnchoredCount:
         mu = np.array([[0.0, 0.01, 0.1, 0.5, 1.0], [0.0, 0.001, 0.002, 0.003, 1.0],
                        [0.0, 0.02, 0.1, 0.1, 0.1]])
         power, noise, eps = 2, 5 * MACHINE_EPS, 1e-12
-        free = selector_mod._root_scores(mu, power, eps, noise)
+        free = roots_mod._root_scores(mu, power, eps, noise)
         t = 0.5 * (free[0] + free[1])
         assert free[1] < free[2] == 0.1 < t < free[0]
-        _, top, deg, b, _ = selector_mod._live_rows(mu, power, noise)
-        x, cap, drop = selector_mod._anchored(b, power, deg, top, eps, t)
+        _, top, deg, b, _ = roots_mod._live_rows(mu, power, noise)
+        x, cap, drop = roots_mod._anchored(b, power, deg, top, eps, t)
         assert drop.tolist() == [True, False, False]
         assert top[1] / t < x[1] <= cap[1]
         assert x[1] == pytest.approx(top[1] / free[1], rel=1e-12)
         assert x[2] == cap[2] == 1.0
         assert cap[0] == top[0] / t
         tol = np.maximum(eps, 64 * MACHINE_EPS * free)
-        scores = selector_mod._root_scores(mu, power, eps, noise, None, t)
-        floors = selector_mod._score_floors(mu, power, eps, noise, None, t)
+        scores = roots_mod._root_scores(mu, power, eps, noise, None, t)
+        floors = roots_mod._score_floors(mu, power, eps, noise, None, t)
         for got in (scores[0], floors[0]):
             assert t * (1.0 - MACHINE_EPS) <= got <= free[0] + tol[0]
         assert scores[2] == free[2]
@@ -959,9 +969,9 @@ class TestAnchoredCount:
         mu = np.concatenate([np.repeat(mu[-1:], 40, axis=0), mu])
         noise, eps = 48 * MACHINE_EPS, 1e-9
         for power in (1, 2, 12):
-            free = selector_mod._root_scores(mu, power, eps, noise)
+            free = roots_mod._root_scores(mu, power, eps, noise)
             at = None if t is None else t * float(np.median(free))
-            for fn in (selector_mod._root_scores, selector_mod._score_floors):
+            for fn in (roots_mod._root_scores, roots_mod._score_floors):
                 batched = fn(mu, power, eps, noise, None, at)
                 alone = [fn(mu[i : i + 1], power, eps, noise, None, at)[0] for i in range(len(mu))]
                 assert np.array_equal(batched, alone)
@@ -1205,14 +1215,14 @@ class TestBracketPass:
         # scoring's winner, with a score within the tolerance
         monkeypatch.setattr(selector_mod, "_BLOCK_BYTES", 2048)
         dropped = []
-        anchored = selector_mod._anchored
+        anchored = roots_mod._anchored
 
         def recorded(*args):
             out = anchored(*args)
             dropped.append(0 if out[2] is None else int(np.count_nonzero(out[2])))
             return out
 
-        monkeypatch.setattr(selector_mod, "_anchored", recorded)
+        monkeypatch.setattr(roots_mod, "_anchored", recorded)
         state = initial_state(a)
         eps = 1e-9 / state.scale
         tie = selector_mod._TIE_ULPS * MACHINE_EPS * max(1.0, state.eigs[0] / state.scale)
@@ -1240,13 +1250,13 @@ class TestBracketPass:
         # orders, is longer than the three 5-order steps it saves: no batch
         # gets t, and the pick is the one without t, bit for bit
         seen = []
-        anchored = selector_mod._anchored
+        anchored = roots_mod._anchored
 
         def recorded(*args):
             seen.append(args[5])
             return anchored(*args)
 
-        monkeypatch.setattr(selector_mod, "_anchored", recorded)
+        monkeypatch.setattr(roots_mod, "_anchored", recorded)
         a = random_gaussian(40, 80, 7)
         state = initial_state(a)
         eps = 1e-9 / state.scale
@@ -1298,7 +1308,7 @@ class TestSelectionStats:
     def test_steps_count_taylor_expansions(self, monkeypatch):
         # calls[0] counts select's own score of the full spectrum
         calls = [0]
-        taylor, pick = selector_mod._taylor, selector_mod._pick
+        taylor, pick = roots_mod._taylor, selector_mod._pick
 
         def counted(*args):
             calls[-1] += 1
@@ -1308,7 +1318,7 @@ class TestSelectionStats:
             calls.append(0)
             return pick(*args)
 
-        monkeypatch.setattr(selector_mod, "_taylor", counted)
+        monkeypatch.setattr(roots_mod, "_taylor", counted)
         monkeypatch.setattr(selector_mod, "_pick", tracked)
         # an eps at the rounding level makes the certificate back off
         result = select(power_law(64, 64, 64, 2.0, 1.0, 7), 52, eps=1e-16)
