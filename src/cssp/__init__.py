@@ -63,6 +63,7 @@ from .oracle import (
     weighted_step_identity_error,
 )
 from .polynomial import (
+    DEFAULT_EPS,
     RootApprox,
     cauchy_bound,
     derivative,
@@ -72,7 +73,6 @@ from .polynomial import (
     polar_power,
 )
 from .selector import (
-    DEFAULT_EPS,
     IterationStats,
     SelectionResult,
     SelectionState,

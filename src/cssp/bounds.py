@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySpectrum, NonPositiveEigenvalue, OutOfRegime
-from .linalg import gram_spectrum
+from .linalg import _unit_exponent, gram_spectrum
 
 # lam_1 and lam_t closer than this (relative) are treated as an equal
 # spectrum, where beta is 1 and the bound formulas short-circuit.
@@ -48,8 +48,9 @@ def spectrum_info(eigs) -> SpectrumInfo:
     alpha is t / sum(1/lam_i); beta = (1/lam_t - 1/alpha) / (1/lam_t - 1/lam_1),
     which lies in (0, 1) whenever lam_1 > lam_t.  An equal spectrum is
     reported with beta = 1 and the degenerate flag set.  The constants are
-    computed on the spectrum scaled by a power of two to put lam_1 in
-    [1/2, 1), which is exact and keeps 1/lam finite for subnormal lam.
+    computed on the spectrum scaled by 4**-m, m as in select's
+    initial_state, to put lam_1 in [1/2, 2]: exact, and 1/lam stays finite
+    for subnormal lam.
     """
     arr = np.asarray(eigs, dtype=float).reshape(-1)
     if arr.size == 0:
@@ -59,8 +60,8 @@ def spectrum_info(eigs) -> SpectrumInfo:
     if np.any(np.diff(arr) > 0.0):
         raise ValueError("eigenvalues must be sorted descending")
     t = arr.size
-    m = -int(np.frexp(arr[0])[1])
-    scaled = np.ldexp(arr, m)
+    m = 2 * _unit_exponent(float(arr[0]))
+    scaled = np.ldexp(arr, -m)
     alpha = t / float(np.sum(1.0 / scaled))
     lam1, lamt = float(scaled[0]), float(scaled[-1])
     degenerate = (lam1 - lamt) <= DEGENERATE_REL_TOL * lam1
@@ -68,7 +69,7 @@ def spectrum_info(eigs) -> SpectrumInfo:
         beta = 1.0
     else:
         beta = (1.0 / lamt - 1.0 / alpha) / (1.0 / lamt - 1.0 / lam1)
-    return SpectrumInfo(t=t, eigs=arr.copy(), alpha=float(np.ldexp(alpha, -m)), beta=beta,
+    return SpectrumInfo(t=t, eigs=arr.copy(), alpha=float(np.ldexp(alpha, m)), beta=beta,
                         degenerate=degenerate)
 
 

@@ -29,10 +29,11 @@ from .errors import (
     ZeroPolynomial,
 )
 from .instances import hard_instance, power_law, random_gaussian
-from .linalg import gram_spectrum
+from .linalg import _check_rank, gram_spectrum
 from .mmio import load_matrix, save_matrix_market
 from .oracle import IDENTITY_TOLERANCES, run_identity_suite
-from .selector import DEFAULT_EPS, _check_rank, _select, initial_state, select
+from .polynomial import DEFAULT_EPS
+from .selector import _select, initial_state, select
 
 # exit code 3; every other package error, ValueError and OSError exits 1
 _NUMERICAL_ERRORS = (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDirection
+from .errors import DegenerateDirection, RankExceeded
 
 MACHINE_EPS = float(np.finfo(float).eps)
 _MAX_NORM = float(np.sqrt(np.finfo(float).max))  # largest norm with a finite square
@@ -80,6 +80,17 @@ def gram_spectrum(a) -> tuple[np.ndarray, float]:
         raise ValueError(f"singular value {kept[-1]:.6g} is below {_MIN_SIGMA:.6g}, past which "
                          "its square underflows")
     return eigs, tol
+
+
+def _check_rank(k: int, rank: int) -> None:
+    if not 1 <= k <= rank:
+        raise RankExceeded(f"k={k} outside [1, rank={rank}]")
+
+
+def _unit_exponent(lam1: float) -> int:
+    """m with 4**-m * lam1 in [1/2, 2] (in [2, 4) above 2**1023, as
+    4**512 overflows): the power-of-two rescale of a squared norm."""
+    return min(int(np.round(np.log2(lam1) / 2.0)), 511)
 
 
 def spectral_norm_sq(a) -> float:

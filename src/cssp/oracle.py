@@ -22,6 +22,8 @@ import numpy as np
 from .bounds import spectrum_info
 from .errors import EmptySpectrum, NotFullColumnRank, TooManySubsets
 from .linalg import (
+    _check_rank,
+    _unit_exponent,
     as_matrix,
     char_poly,
     check_subset,
@@ -33,8 +35,7 @@ from .linalg import (
     sym_eigenvalues,
     symmetrize,
 )
-from .polynomial import flip, derivative, maxroot, minroot, polar_power
-from .selector import DEFAULT_EPS, _check_rank
+from .polynomial import DEFAULT_EPS, derivative, flip, maxroot, minroot, polar_power
 
 ENUMERATION_CAP = 10**6
 
@@ -307,7 +308,7 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     eigs, tol = gram_spectrum(arr)
     t = eigs.size
     _check_rank(k, t)
-    m = min(int(np.round(np.log2(eigs[0]) / 2.0)), 511)
+    m = _unit_exponent(eigs[0])
     arr, eigs, tol = np.ldexp(arr, -m), np.ldexp(eigs, -2 * m), np.ldexp(tol, -m)
     eps = eps * 4.0**-m
     errors: dict[str, float] = {}

@@ -24,6 +24,8 @@ _TRUNCATION = 1e-12
 # Values this large are rescaled mid-Horner to keep sign evaluation finite.
 _HORNER_RESCALE = 1e150
 
+DEFAULT_EPS = 1e-9  # root accuracy of select and verify when none is given
+
 
 class RootApprox(NamedTuple):
     """A certified root enclosure: |value - root| <= epsilon."""
@@ -122,43 +124,19 @@ def _root_scale_exp(p0: np.ndarray) -> int:
         ratios.append((np.log2(abs(p0[idx])) - lead - log2_binom) / j)
     if not ratios:
         return 0
-    e = max(ratios)
-    if not np.isfinite(e):
-        return 0
-    return int(np.clip(round(e), -500, 500))
+    return int(np.clip(round(max(ratios)), -500, 500))
 
 
-def _pow2_normalize(arr: np.ndarray) -> np.ndarray:
-    """Scale by a power of two so the max magnitude lands in (1/2, 1].
-
-    Power-of-two scaling only shifts exponents, so coefficients (and hence
-    evaluations at exactly-representable roots) stay bit-exact.
-    """
-    top = np.max(np.abs(arr))
-    if top == 0.0 or not np.isfinite(top):
-        return arr
-    return arr * np.exp2(-np.ceil(np.log2(top)))
-
-
-def _rescale_coeffs(p0: np.ndarray, e: int) -> np.ndarray:
-    """Coefficients of p0(2**e * y), renormalized to near-unit magnitude.
-
-    The direct path multiplies by exact powers of two.  Profiles so graded
-    that the direct exponents would overflow fall back to log-space
-    arithmetic, which costs an ulp of exactness but cannot overflow.
-    """
-    n = p0.size
-    if abs(e) * (n - 1) <= 900:
-        out = p0 * np.exp2(np.arange(n) * float(e))
-        return _pow2_normalize(out)
-    with np.errstate(divide="ignore"):
-        logs = np.where(p0 != 0.0, np.log2(np.abs(p0)), -np.inf)
-    logs = logs + np.arange(n) * float(e)
-    top = np.max(logs)
-    out = np.zeros_like(p0)
-    mask = np.isfinite(logs)
-    out[mask] = np.sign(p0[mask]) * np.exp2(logs[mask] - top)
-    return out
+def _pow2_scale(p: np.ndarray, e: int = 0) -> np.ndarray:
+    """Coefficients of p(2**e * y), the largest magnitude in [1/2, 1), by
+    exponent arithmetic: exact, but for entries more than the double range
+    below the largest, which round to subnormals or zero."""
+    mant, ex = np.frexp(p)
+    nonzero = mant != 0.0
+    if not nonzero.any():
+        return p
+    ex = ex + e * np.arange(p.size)
+    return np.ldexp(mant, ex - np.max(ex[nonzero]))
 
 
 def _prepare(c):
@@ -177,15 +155,15 @@ def _prepare(c):
     # leading coefficient sits below the peak by about the product of the
     # roots, which may pass 1e280.  The 1e-12 threshold is only safe in the
     # balanced basis produced below.
-    p0 = _strip_leading(_pow2_normalize(p), rel_tol=0.0)
+    p0 = _strip_leading(_pow2_scale(p), rel_tol=0.0)
     exp = _root_scale_exp(p0)
     scale = 2.0**exp
     if exp != 0:
-        p0 = _strip_leading(_rescale_coeffs(p0, exp))
+        p0 = _strip_leading(_pow2_scale(p0, exp))
     low = np.nonzero(np.abs(p0) > _TRUNCATION * np.max(np.abs(p0)))[0]
     zero_root = low.size > 0 and low[0] > 0
     if zero_root:
-        p0 = _pow2_normalize(_strip_leading(p0[low[0] :]))
+        p0 = _pow2_scale(_strip_leading(p0[low[0] :]))
     return p0, zero_root, scale
 
 
@@ -201,7 +179,7 @@ def _fourier_matrix(q: np.ndarray) -> np.ndarray:
     row = q
     for i in range(q.size):
         mat[i, : row.size] = row
-        row = _pow2_normalize(derivative(row))
+        row = _pow2_scale(derivative(row))
     return mat
 
 

@@ -42,12 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCandidatesDegenerate, CertificateViolation, DegenerateDirection, RankExceeded
-from .linalg import MACHINE_EPS, _residual_sq, as_matrix, gram_spectrum
-from .polynomial import RootApprox
+from .errors import AllCandidatesDegenerate, CertificateViolation, DegenerateDirection
+from .linalg import MACHINE_EPS, _check_rank, _residual_sq, _unit_exponent, as_matrix, gram_spectrum
+from .polynomial import DEFAULT_EPS, RootApprox
 from .roots import _root_scores, _score_floors
-
-DEFAULT_EPS = 1e-9
 
 # Bytes of stacked downdated matrices whose spectra are computed at once.
 # Candidates are handled in index-ordered blocks of this size, which bounds
@@ -131,7 +129,7 @@ def initial_state(a) -> SelectionState:
     arr = as_matrix(a)
     eigs, tol = gram_spectrum(arr)
     lam1 = float(eigs[0]) if eigs.size else 1.0
-    m = min(int(np.round(np.log2(lam1) / 2.0)), 511)  # 4**512 overflows
+    m = _unit_exponent(lam1)
     scale = 4.0**m
     e = np.linalg.qr(arr * 2.0**-m, mode="r")
     # downdates and eigvalsh are accurate to about eps_mach * ||A||_2^2,
@@ -404,11 +402,6 @@ def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
     start = time.perf_counter()
     arr = as_matrix(a)
     return _select(arr, initial_state(arr), int(k), eps, start)
-
-
-def _check_rank(k: int, rank: int) -> None:
-    if not 1 <= k <= rank:
-        raise RankExceeded(f"k={k} outside [1, rank={rank}]")
 
 
 def _select(arr: np.ndarray, state: SelectionState, k: int, eps, start: float) -> SelectionResult:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cssp.bounds import (
     barrier_root_bound,
@@ -43,6 +44,25 @@ class TestSpectrumInfo:
             assert eigs[-1] - 1e-12 <= info.alpha <= eigs[0] + 1e-12
             if not info.degenerate:
                 assert 0.0 < info.beta < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        top=st.integers(-1021, 1024),
+        entries=st.lists(st.tuples(st.floats(0.5, 1.0, exclude_max=True), st.integers(0, 1000)),
+                         min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_exact_under_power_of_four_scaling(self, top, entries, data):
+        # normal spectra anywhere in the double range spanning at most 2^1001,
+        # moved by 4^j with every entry kept normal
+        mant, drop = (np.array(v) for v in zip(*entries))
+        eigs = np.sort(np.ldexp(mant, np.maximum(top - drop, -1021)))[::-1]
+        lo, hi = np.frexp(eigs[-1])[1], np.frexp(eigs[0])[1]
+        j = data.draw(st.integers(-((lo + 1021) // 2), (1024 - hi) // 2))
+        info, moved = spectrum_info(eigs), spectrum_info(np.ldexp(eigs, 2 * j))
+        assert moved.alpha == np.ldexp(info.alpha, 2 * j)
+        assert moved.beta == info.beta
+        assert moved.degenerate == info.degenerate
 
     def test_input_validation(self):
         with pytest.raises(EmptySpectrum):

@@ -1,8 +1,11 @@
+import ast
 import itertools
 
 import numpy as np
 import pytest
 
+import cssp.oracle
+import cssp.polynomial
 from cssp.bounds import residual_bound, spectrum_of
 from cssp.errors import EmptySpectrum, NotFullColumnRank, RankExceeded, TooManySubsets
 from cssp.instances import hard_instance, power_law, random_gaussian
@@ -350,3 +353,18 @@ class TestIdentitySuite:
     def test_k_outside_rank_is_typed(self, k):
         with pytest.raises(RankExceeded, match=rf"k={k} outside \[1, rank=6\]"):
             run_identity_suite(random_gaussian(6, 6, 1), k)
+
+
+@pytest.mark.parametrize("module", [cssp.oracle, cssp.polynomial], ids=["oracle", "polynomial"])
+def test_independent_route_imports_nothing_from_select(module):
+    # the slow path checks the fast one, so it shares none of its code
+    with open(module.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rsplit(".", 1)[-1] for name in imported} & {"selector", "roots"}

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,9 @@ from numpy.polynomial import polynomial as npoly
 from cssp.errors import NoRootInRange, ZeroPolynomial
 from cssp.polynomial import (
     _fourier_matrix,
+    _pow2_scale,
     _prepare,
+    _root_scale_exp,
     cauchy_bound,
     derivative,
     flip,
@@ -191,16 +194,26 @@ class TestExtremeRoots:
         huge = npoly.polyfromroots([1e5, 3e5, 7e5])
         assert abs(maxroot(huge, 1e-3).value - 7e5) <= 1e-2
 
-    @pytest.mark.parametrize("roots, eps, rel", [
-        (np.array([1e140, 2e140]), 1e131, 0.0),
-        (1e30 * np.arange(1.0, 11.0), 1e21, 1e-8),
+    @pytest.mark.parametrize("roots, eps", [
+        (np.array([1e140, 2e140]), 1e131),
+        (1e30 * np.arange(1.0, 11.0), 1e21),
     ], ids=["two-roots", "ten-roots"])
-    def test_root_product_past_1e280(self, roots, eps, rel):
-        # the leading coefficient lies 1e-280 below the largest, and is kept;
-        # ten roots rescale their variable in log space
+    def test_root_product_past_1e280(self, roots, eps):
+        # the leading coefficient lies 1e-280 below the largest, and is kept
         p = npoly.polyfromroots(roots)
         for finder, want in ((maxroot, roots[-1]), (minroot, roots[0])):
-            assert abs(finder(p, eps).value - want) <= max(eps, rel * want)
+            assert abs(finder(p, eps).value - want) <= eps
+
+    def test_rescale_exact_past_900_exponent_steps(self):
+        # p(2^e y) spans e (n - 1) = 1020 binary orders before normalizing,
+        # yet every coefficient is p_i 2^(e i - c), c the largest exponent
+        p = _pow2_scale(npoly.polyfromroots(1e30 * np.arange(1.0, 11.0)))
+        e = _root_scale_exp(p)
+        assert e == 102
+        out = _pow2_scale(p, e)
+        exact = [mpmath.ldexp(mpmath.mpf(float(x)), e * i) for i, x in enumerate(p)]
+        c = max(mpmath.frexp(v)[1] for v in exact)
+        assert all(mpmath.mpf(float(o)) == mpmath.ldexp(v, -c) for o, v in zip(out, exact))
 
     def test_graded_coefficients(self):
         # many zero roots next to a tight small cluster
