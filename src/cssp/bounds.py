@@ -47,10 +47,11 @@ def spectrum_info(eigs) -> SpectrumInfo:
 
     alpha is t / sum(1/lam_i); beta = (1/lam_t - 1/alpha) / (1/lam_t - 1/lam_1),
     which lies in (0, 1) whenever lam_1 > lam_t.  An equal spectrum is
-    reported with beta = 1 and the degenerate flag set.  The constants are
-    computed on the spectrum scaled by 4**-m, m as in select's
-    initial_state, to put lam_1 in [1/2, 2]: exact, and 1/lam stays finite
-    for subnormal lam.
+    reported with beta = 1 and the degenerate flag set; equality is tested
+    on the spectrum scaled by 4**-m to put lam_1 in [1/2, 2], m as in
+    select's initial_state.  The reciprocals are summed on lam_t's scale,
+    exactly: 1/lam_i = 2^-e_t (1/f_i) 2^(e_t - e_i) with lam_i = f_i 2^e_i,
+    each term at most 2, so none overflows for subnormal lam or any span.
     """
     arr = np.asarray(eigs, dtype=float).reshape(-1)
     if arr.size == 0:
@@ -60,16 +61,17 @@ def spectrum_info(eigs) -> SpectrumInfo:
     if np.any(np.diff(arr) > 0.0):
         raise ValueError("eigenvalues must be sorted descending")
     t = arr.size
-    m = 2 * _unit_exponent(float(arr[0]))
-    scaled = np.ldexp(arr, -m)
-    alpha = t / float(np.sum(1.0 / scaled))
+    scaled = np.ldexp(arr, -2 * _unit_exponent(float(arr[0])))
     lam1, lamt = float(scaled[0]), float(scaled[-1])
     degenerate = (lam1 - lamt) <= DEGENERATE_REL_TOL * lam1
+    frac, exp = np.frexp(arr)
+    inv = np.ldexp(1.0 / frac, exp[-1] - exp)
+    alpha = t / float(np.sum(inv))
     if degenerate:
         beta = 1.0
     else:
-        beta = (1.0 / lamt - 1.0 / alpha) / (1.0 / lamt - 1.0 / lam1)
-    return SpectrumInfo(t=t, eigs=arr.copy(), alpha=float(np.ldexp(alpha, m)), beta=beta,
+        beta = (float(inv[-1]) - 1.0 / alpha) / (float(inv[-1]) - float(inv[0]))
+    return SpectrumInfo(t=t, eigs=arr.copy(), alpha=float(np.ldexp(alpha, exp[-1])), beta=beta,
                         degenerate=degenerate)
 
 

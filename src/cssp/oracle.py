@@ -1,14 +1,13 @@
 """Exhaustive optima and identity checks for desk-scale instances.
 
 Everything here exists to certify the fast path from an independent angle:
-residuals come from numpy's SVD and pseudoinverse or from projectors built
-by rank-one updates, never from the QR basis of `linalg`, determinants are
+residuals come from numpy's SVD and pseudoinverse or from A deflated by
+rank-one updates, never from the QR basis of `linalg`, determinants are
 cross-checked between a factored product and numpy, and the operator
 identity is tested against a literal weighted subset sum.  Each subset's
-complement projector Q_S comes from the rank-one updates of that factored
-determinant, under one rank tolerance of A, so enumerating subsets takes no
-SVD of A per subset, and the volume-weighted means take their residuals as
-Q_S A.
+residual Q_S A comes from the rank-one updates of its factored determinant,
+one per column under one rank tolerance of A, in O(n d) memory: no n x n
+projector and no SVD of A per subset.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .linalg import (
     gram,
     gram_spectrum,
     numerical_rank,
-    projector_update,
     rank_tolerance,
     sym_eigenvalues,
     symmetrize,
@@ -70,19 +68,19 @@ def _require_enumerable(d: int, k: int) -> int:
 
 
 def _volume_weighted(arr: np.ndarray, k: int):
-    """(subset, det(A_S^T A_S), Q_S) per k-subset of columns with a nonzero
+    """(subset, det(A_S^T A_S), Q_S A) per k-subset of columns with a nonzero
     determinant, in lexicographic order, under one rank tolerance of A."""
     d = arr.shape[1]
     _require_enumerable(d, k)
     tol = rank_tolerance(arr)
-    weighted = ((s, *_det_and_projector(arr, s, tol))
+    weighted = ((s, *_deflated(arr, s, tol))
                 for s in itertools.combinations(range(d), k))
     return (w for w in weighted if w[1] != 0.0)
 
 
-def _residual_poly(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial of A^T Q A."""
-    return char_poly(symmetrize(arr.T @ q @ arr))
+def _residual_poly(resid: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial of A^T Q A = (Q A)^T (Q A), given Q A."""
+    return char_poly(symmetrize(resid.T @ resid))
 
 
 def svd_residual_sq(a, cols) -> float:
@@ -126,23 +124,25 @@ def gram_det_factored(a, cols, tol: float | None = None) -> float:
     """
     arr = as_matrix(a)
     idx = check_subset(cols, arr.shape[1])
-    return _det_and_projector(arr, idx, rank_tolerance(arr) if tol is None else tol)[0]
+    return _deflated(arr, idx, rank_tolerance(arr) if tol is None else tol)[0]
 
 
-def _det_and_projector(arr: np.ndarray, idx, tol: float) -> tuple[float, np.ndarray]:
-    """(det(A_S^T A_S), Q_S) for the columns idx; a column within tol of the
-    span so far is skipped and makes the determinant zero."""
-    q = np.eye(arr.shape[0])
+def _deflated(resid: np.ndarray, idx, tol: float) -> tuple[float, np.ndarray]:
+    """(det, Q resid) for the columns idx, one rank-one update each: u, column
+    j of the residual so far, is the part of a_j outside the span so far; det
+    takes |u|^2 and resid becomes resid - u (u^T resid) / |u|^2.  A column
+    with |u| <= tol is skipped and makes det zero.  From A this gives
+    det(A_S^T A_S) and Q_S A."""
     det = 1.0
     for j in idx:
-        u = q @ arr[:, j]
+        u = resid[:, j]
         nu2 = float(u @ u)
         if np.sqrt(nu2) <= tol:
             det = 0.0
             continue
         det *= nu2
-        q = projector_update(q, arr[:, j], tol)
-    return det, q
+        resid = resid - np.outer(u, (u @ resid) / nu2)
+    return det, resid
 
 
 def expected_poly_bruteforce(a, k: int) -> np.ndarray:
@@ -157,8 +157,8 @@ def expected_poly_bruteforce(a, k: int) -> np.ndarray:
     if k == 0:
         return char_poly(gram(arr))
     acc = np.zeros(arr.shape[1] + 1)
-    for _, det, q in _volume_weighted(arr, k):
-        acc += det * _residual_poly(arr, q)
+    for _, det, resid in _volume_weighted(arr, k):
+        acc += det * _residual_poly(resid)
     return math.factorial(k) * acc
 
 
@@ -205,8 +205,8 @@ def volume_mean_residual(a) -> float:
         raise EmptySpectrum("matrix has numerical rank zero")
     num = 0.0
     den = 0.0
-    for _, det, q in _volume_weighted(arr, t - 1):
-        num += det * float(np.linalg.svd(q @ arr, compute_uv=False)[0]) ** 2
+    for _, det, resid in _volume_weighted(arr, t - 1):
+        num += det * float(np.linalg.svd(resid, compute_uv=False)[0]) ** 2
         den += det
     return num / den
 
@@ -226,8 +226,7 @@ def volume_mean_frobenius_enumerated(a, k: int) -> float:
     arr = as_matrix(a)
     num = 0.0
     den = 0.0
-    for _, det, q in _volume_weighted(arr, int(k)):
-        resid = q @ arr
+    for _, det, resid in _volume_weighted(arr, int(k)):
         num += det * float(np.sum(resid * resid))
         den += det
     return num / den
@@ -255,7 +254,7 @@ def _restricted_invertibility_pair(arr: np.ndarray, idx, tol: float, pinv_t: np.
                                    eps: float) -> tuple[float, float]:
     """:func:`restricted_invertibility_pair` of a full-column-rank arr under
     its rank tolerance tol, given pinv(arr)^T."""
-    mr = maxroot(_residual_poly(arr, _det_and_projector(arr, idx, tol)[1]), eps).value
+    mr = maxroot(_residual_poly(_deflated(arr, idx, tol)[1]), eps).value
     chosen = set(idx)
     comp = [j for j in range(arr.shape[1]) if j not in chosen]
     sig2_min = float(sym_eigenvalues(gram(pinv_t[:, comp]))[-1])
@@ -272,18 +271,16 @@ def weighted_step_identity_error(a, cols) -> float:
     d = arr.shape[1]
     idx = check_subset(cols, d)
     tol = rank_tolerance(arr)
-    q = _det_and_projector(arr, idx, tol)[1]
+    resid = _deflated(arr, idx, tol)[1]
     lhs = np.zeros(d + 1)
     chosen = set(idx)
     for i in range(d):
         if i in chosen:
             continue
-        u = q @ arr[:, i]
-        nu2 = float(u @ u)
-        if np.sqrt(nu2) <= tol:
-            continue
-        lhs += nu2 * _residual_poly(arr, projector_update(q, arr[:, i], tol))
-    rhs = polar_power(_residual_poly(arr, q), 1)
+        nu2, step = _deflated(resid, [i], tol)
+        if nu2 != 0.0:
+            lhs += nu2 * _residual_poly(step)
+    rhs = polar_power(_residual_poly(resid), 1)
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))), 1e-300)
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -310,7 +307,8 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     _check_rank(k, t)
     m = _unit_exponent(eigs[0])
     arr, eigs, tol = np.ldexp(arr, -m), np.ldexp(eigs, -2 * m), np.ldexp(tol, -m)
-    eps = eps * 4.0**-m
+    # eps alike, its exponent capped below the double range
+    eps = float(np.ldexp(eps, min(-2 * m, 1022 - int(np.frexp(eps)[1]))))
     errors: dict[str, float] = {}
 
     # det[x I - A^T A] with exactly d - t zero roots, the rest from the spectrum

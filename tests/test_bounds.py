@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +66,35 @@ class TestSpectrumInfo:
         assert moved.alpha == np.ldexp(info.alpha, 2 * j)
         assert moved.beta == info.beta
         assert moved.degenerate == info.degenerate
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        top=st.integers(-1073, 1024),
+        entries=st.lists(st.tuples(st.floats(0.5, 1.0, exclude_max=True), st.integers(0, 2100)),
+                         min_size=1, max_size=12),
+    )
+    def test_finite_at_any_span(self, top, entries):
+        # positive spectra anywhere in the double range, subnormals included,
+        # spanning up to all of it
+        mant, drop = (np.array(v) for v in zip(*entries))
+        eigs = np.sort(np.ldexp(mant, np.maximum(top - drop, -1073)))[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = spectrum_info(eigs)
+        assert np.isfinite(info.alpha) and np.isfinite(info.beta)
+        if info.alpha >= np.finfo(float).tiny:
+            with mpmath.workdps(40):
+                ref = eigs.size / mpmath.fsum(1 / mpmath.mpf(float(x)) for x in eigs)
+                assert abs(mpmath.mpf(info.alpha) - ref) <= 1e-13 * ref
+
+    def test_span_beyond_double_range(self):
+        # 2^-80 / 2^1000 underflows, the harmonic mean does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = spectrum_info([2.0**1000, 2.0**-80])
+        assert info.alpha == 2.0**-79
+        assert info.beta == 0.5
+        assert not info.degenerate
 
     def test_input_validation(self):
         with pytest.raises(EmptySpectrum):

@@ -156,6 +156,27 @@ class TestFloatRange:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["subset"] == [1, 2, 3]  # 1-based
 
+    @pytest.mark.parametrize("which", ["gaussian", "identity"])
+    def test_verify_at_tiny_scale_is_quiet(self, tmp_path, which):
+        # eps stays finite on the unit-norm copy; the checks that a subnormal
+        # spectrum cannot pass fail, so verify exits 2 with its report
+        from cssp.instances import random_gaussian
+        from cssp.mmio import save_matrix_market
+
+        if which == "gaussian":
+            a = random_gaussian(6, 6, 1)
+            a = a * (1e-158 / np.linalg.norm(a, 2))
+        else:
+            a = 3e-162 * np.eye(6)
+        path = tmp_path / "tiny.mtx"
+        save_matrix_market(path, a)
+        proc = subprocess.run([sys.executable, "-m", "cssp.cli", "verify", "--input", str(path),
+                               "-k", "3", "--format", "json"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 1
+        assert json.loads(proc.stdout)["command"] == "verify"
+
     @pytest.mark.parametrize("command", ["select", "bound"])
     def test_norm_with_infinite_square_is_usage_error(self, capsys, tmp_path, command):
         code = main([command, "--input", self._write(tmp_path, 1e160), "-k", "3"])

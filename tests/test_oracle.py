@@ -1,5 +1,7 @@
 import ast
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import cssp.polynomial
 from cssp.bounds import residual_bound, spectrum_of
 from cssp.errors import EmptySpectrum, NotFullColumnRank, RankExceeded, TooManySubsets
 from cssp.instances import hard_instance, power_law, random_gaussian
-from cssp.linalg import char_poly, gram, symmetrize
+from cssp.linalg import char_poly, gram, rank_tolerance, symmetrize
 from cssp.oracle import (
     IDENTITY_TOLERANCES,
     brute_force_best,
@@ -110,6 +112,38 @@ class TestDeterminants:
                 sub = a[:, list(s)]
                 ref = np.linalg.det(symmetrize(sub.T @ sub))
                 assert gram_det_factored(a, s) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("a, cols", [
+        (random_gaussian(200, 6, 1), [0, 2, 5]),
+        (random_gaussian(6, 12, 2), [1, 4, 7, 10]),
+        (np.column_stack([random_gaussian(8, 5, 3), random_gaussian(8, 5, 3)[:, 1]]), [1, 3, 5]),
+        (random_gaussian(8, 2, 1) @ random_gaussian(2, 6, 2), [0, 3]),
+        (random_gaussian(8, 2, 1) @ random_gaussian(2, 6, 2), [0, 3, 4]),
+    ], ids=["tall200x6", "wide6x12", "duplicated-column", "rank2", "rank2-dependent"])
+    def test_deflated_residual_matches_pinv_route(self, a, cols):
+        # Q_S A from one rank-one update per column against svd_residual_sq's
+        # A - A_S pinv(A_S) A, and the factored det(A_S^T A_S) against numpy's
+        det, resid = cssp.oracle._deflated(a, cols, rank_tolerance(a))
+        sub = a[:, cols]
+        assert np.max(np.abs(resid - (a - sub @ np.linalg.pinv(sub) @ a))) \
+            <= 1e-12 * np.linalg.norm(a, 2)
+        ref = np.linalg.det(symmetrize(sub.T @ sub))
+        if np.linalg.matrix_rank(sub) < len(cols):
+            assert det == 0.0
+            assert abs(ref) <= 1e-8 * np.prod(np.sum(sub * sub, axis=0))
+        else:
+            assert det == pytest.approx(ref, rel=1e-8)
+
+    def test_no_n_by_n_array(self):
+        # the residual is n x d: the peak stays below one 2000 x 2000 array
+        a = random_gaussian(2000, 4, 1)
+        tracemalloc.start()
+        try:
+            gram_det_factored(a, [0, 1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2000**2
 
     def test_dependent_columns_give_zero(self):
         a = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
@@ -292,7 +326,7 @@ class TestIdentitySuite:
         assert "restricted_invertibility" not in report.identity_errors
 
     def test_svd_count_independent_of_subset_count(self, monkeypatch):
-        # each subset's projector comes from the factored determinant, not
+        # each subset's residual comes from the factored determinant, not
         # from a fresh SVD of A: C(10, 3) = 120 and C(10, 4) = 210 subsets
         a = random_gaussian(8, 10, 1)
         svd = np.linalg.svd
@@ -349,15 +383,25 @@ class TestIdentitySuite:
             shared = oracle_mod._restricted_invertibility_pair(a, list(s), tol, pinv_t, 1e-9)
             assert shared == restricted_invertibility_pair(a, s)
 
+    @pytest.mark.parametrize("a", [
+        random_gaussian(6, 6, 1) * (1e-158 / np.linalg.norm(random_gaussian(6, 6, 1), 2)),
+        3e-162 * np.eye(6),
+    ], ids=["gaussian-1e-158", "identity-3e-162"])
+    def test_tiny_scale_returns_a_report(self, a):
+        # eps scaled to the unit-norm copy stays finite, and nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_identity_suite(a, 3)
+        assert len(report.best_subset) == 3
+        assert all(np.isfinite(err) for err in report.identity_errors.values())
+
     @pytest.mark.parametrize("k", [0, 7])
     def test_k_outside_rank_is_typed(self, k):
         with pytest.raises(RankExceeded, match=rf"k={k} outside \[1, rank=6\]"):
             run_identity_suite(random_gaussian(6, 6, 1), k)
 
 
-@pytest.mark.parametrize("module", [cssp.oracle, cssp.polynomial], ids=["oracle", "polynomial"])
-def test_independent_route_imports_nothing_from_select(module):
-    # the slow path checks the fast one, so it shares none of its code
+def _imported_names(module) -> set[str]:
     with open(module.__file__) as f:
         tree = ast.parse(f.read())
     imported = set()
@@ -367,4 +411,17 @@ def test_independent_route_imports_nothing_from_select(module):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not {name.rsplit(".", 1)[-1] for name in imported} & {"selector", "roots"}
+    return {name.rsplit(".", 1)[-1] for name in imported}
+
+
+@pytest.mark.parametrize("module", [cssp.oracle, cssp.polynomial], ids=["oracle", "polynomial"])
+def test_independent_route_imports_nothing_from_select(module):
+    # the slow path checks the fast one, so it shares none of its code
+    assert not _imported_names(module) & {"selector", "roots"}
+
+
+def test_oracle_imports_no_qr_basis():
+    # the oracle's residuals come from its own rank-one deflation, not from
+    # the QR basis behind select's final residual
+    qr_basis = {"_span_basis", "_residual_sq", "residual_spectral_sq", "complement_projector"}
+    assert not _imported_names(cssp.oracle) & qr_basis
