@@ -38,11 +38,7 @@ from .linalg import (
     char_poly,
     complement_projector,
     gram,
-    numerical_rank,
-    projector_update,
-    rank_tolerance,
     residual_spectral_sq,
-    spectral_norm_sq,
     sym_eigenvalues,
 )
 from .mmio import load_matrix, save_csv, save_matrix_market

@@ -1,15 +1,15 @@
 """Dense symmetric linear algebra used by the selection pipeline.
 
 Matrices are plain 2-D float ndarrays and everything here is a pure
-function.  Gram matrices and updated projectors are re-symmetrized, so
-callers can rely on exact symmetry.
+function.  Gram matrices are re-symmetrized, so callers can rely on
+exact symmetry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDirection, RankExceeded
+from .errors import RankExceeded
 
 MACHINE_EPS = float(np.finfo(float).eps)
 _MAX_NORM = float(np.sqrt(np.finfo(float).max))  # largest norm with a finite square
@@ -93,21 +93,6 @@ def _unit_exponent(lam1: float) -> int:
     return min(int(np.round(np.log2(lam1) / 2.0)), 511)
 
 
-def spectral_norm_sq(a) -> float:
-    """Largest eigenvalue of A^T A (the squared spectral norm)."""
-    eigs, _ = gram_spectrum(a)
-    return float(eigs[0]) if eigs.size else 0.0
-
-
-def rank_tolerance(a) -> float:
-    """Numerical-rank cutoff for directions: max(n, d) * eps * ||A||_2."""
-    return gram_spectrum(a)[1]
-
-
-def numerical_rank(a) -> int:
-    return int(gram_spectrum(a)[0].size)
-
-
 def char_poly(m) -> np.ndarray:
     """Monic characteristic polynomial det[x I - M] of a symmetric matrix.
 
@@ -115,30 +100,6 @@ def char_poly(m) -> np.ndarray:
     (x - lambda_i).  Ascending coefficients, nominal degree = dim(M).
     """
     return np.polynomial.polynomial.polyfromroots(sym_eigenvalues(m))
-
-
-def projector_update(q, b, tol: float | None = None) -> np.ndarray:
-    """Shrink an orthogonal-complement projector by the direction b.
-
-    Returns Q - (Qb)(Qb)^T / ||Qb||^2, the projector onto the complement of
-    span(range(I - Q) + {b}).  Trace drops by exactly one per successful
-    update.  Raises DegenerateDirection when ||Qb|| <= tol, i.e. b already
-    lies in the selected span.
-
-    Callers tracking a parent matrix A should pass tol = rank_tolerance(A);
-    the default only guards against exact degeneracy scaled by ||b||.
-    """
-    qm = _as_sym(q)
-    vec = np.asarray(b, dtype=float).reshape(-1)
-    if vec.size != qm.shape[0]:
-        raise ValueError("vector length does not match projector dimension")
-    if tol is None:
-        tol = vec.size * MACHINE_EPS * float(np.linalg.norm(vec))
-    u = qm @ vec
-    nu = float(np.linalg.norm(u))
-    if nu <= tol:
-        raise DegenerateDirection(f"||Qb|| = {nu:.3e} <= {tol:.3e}")
-    return symmetrize(qm - np.outer(u, u) / (nu * nu))
 
 
 def check_subset(subset, n_cols: int) -> list[int]:

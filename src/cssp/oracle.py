@@ -7,7 +7,8 @@ cross-checked between a factored product and numpy, and the operator
 identity is tested against a literal weighted subset sum.  Each subset's
 residual Q_S A comes from the rank-one updates of its factored determinant,
 one per column under one rank tolerance of A, in O(n d) memory: no n x n
-projector and no SVD of A per subset.
+projector and no SVD of A per subset.  Each public routine reads rank and
+tolerance from at most one `gram_spectrum` of its input.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .linalg import (
     check_subset,
     gram,
     gram_spectrum,
-    numerical_rank,
-    rank_tolerance,
     sym_eigenvalues,
     symmetrize,
 )
@@ -67,12 +66,11 @@ def _require_enumerable(d: int, k: int) -> int:
     return total
 
 
-def _volume_weighted(arr: np.ndarray, k: int):
+def _volume_weighted(arr: np.ndarray, k: int, tol: float):
     """(subset, det(A_S^T A_S), Q_S A) per k-subset of columns with a nonzero
-    determinant, in lexicographic order, under one rank tolerance of A."""
+    determinant, in lexicographic order, under the rank tolerance tol of A."""
     d = arr.shape[1]
     _require_enumerable(d, k)
-    tol = rank_tolerance(arr)
     weighted = ((s, *_deflated(arr, s, tol))
                 for s in itertools.combinations(range(d), k))
     return (w for w in weighted if w[1] != 0.0)
@@ -124,7 +122,7 @@ def gram_det_factored(a, cols, tol: float | None = None) -> float:
     """
     arr = as_matrix(a)
     idx = check_subset(cols, arr.shape[1])
-    return _deflated(arr, idx, rank_tolerance(arr) if tol is None else tol)[0]
+    return _deflated(arr, idx, gram_spectrum(arr)[1] if tol is None else tol)[0]
 
 
 def _deflated(resid: np.ndarray, idx, tol: float) -> tuple[float, np.ndarray]:
@@ -154,10 +152,8 @@ def expected_poly_bruteforce(a, k: int) -> np.ndarray:
     """
     arr = as_matrix(a)
     k = int(k)
-    if k == 0:
-        return char_poly(gram(arr))
     acc = np.zeros(arr.shape[1] + 1)
-    for _, det, resid in _volume_weighted(arr, k):
+    for _, det, resid in _volume_weighted(arr, k, gram_spectrum(arr)[1]):
         acc += det * _residual_poly(resid)
     return math.factorial(k) * acc
 
@@ -174,7 +170,12 @@ def gram_det_sum(a, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0
-    eigs, _ = gram_spectrum(arr)
+    return _esym(gram_spectrum(arr)[0], k)
+
+
+def _esym(eigs: np.ndarray, k: int) -> float:
+    """The k-th elementary symmetric polynomial of the Gram spectrum eigs:
+    the sum of det(A_S^T A_S) over k-subsets."""
     if k > eigs.size:
         return 0.0
     esym = np.zeros(k + 1)
@@ -189,10 +190,8 @@ def gram_det_sum(a, k: int) -> float:
 def gram_det_sum_enumerated(a, k: int) -> float:
     """Same sum by direct enumeration; the slow half of the dual route."""
     arr = as_matrix(a)
-    k = int(k)
-    if k == 0:
-        return 1.0
-    return float(sum(det for _, det, _ in _volume_weighted(arr, k)))
+    tol = gram_spectrum(arr)[1]
+    return float(sum(det for _, det, _ in _volume_weighted(arr, int(k), tol)))
 
 
 def volume_mean_residual(a) -> float:
@@ -200,12 +199,13 @@ def volume_mean_residual(a) -> float:
     (rank-1)-subsets.  Must reproduce the harmonic-mean constant of the
     spectrum summary; rank-deficient subsets carry zero weight."""
     arr = as_matrix(a)
-    t = numerical_rank(arr)
+    eigs, tol = gram_spectrum(arr)
+    t = eigs.size
     if t == 0:
         raise EmptySpectrum("matrix has numerical rank zero")
     num = 0.0
     den = 0.0
-    for _, det, resid in _volume_weighted(arr, t - 1):
+    for _, det, resid in _volume_weighted(arr, t - 1, tol):
         num += det * float(np.linalg.svd(resid, compute_uv=False)[0]) ** 2
         den += det
     return num / den
@@ -216,9 +216,10 @@ def expected_frobenius_residual(a, k: int) -> float:
     k-subsets, through the subset-determinant ratio (k+1) c_{k+1} / c_k."""
     arr = as_matrix(a)
     k = int(k)
-    if not 0 <= k < numerical_rank(arr):
+    eigs, _ = gram_spectrum(arr)
+    if not 0 <= k < eigs.size:
         raise ValueError("need 0 <= k < rank")
-    return (k + 1) * gram_det_sum(arr, k + 1) / gram_det_sum(arr, k)
+    return (k + 1) * _esym(eigs, k + 1) / _esym(eigs, k)
 
 
 def volume_mean_frobenius_enumerated(a, k: int) -> float:
@@ -226,7 +227,7 @@ def volume_mean_frobenius_enumerated(a, k: int) -> float:
     arr = as_matrix(a)
     num = 0.0
     den = 0.0
-    for _, det, resid in _volume_weighted(arr, int(k)):
+    for _, det, resid in _volume_weighted(arr, int(k), gram_spectrum(arr)[1]):
         num += det * float(np.sum(resid * resid))
         den += det
     return num / den
@@ -270,7 +271,7 @@ def weighted_step_identity_error(a, cols) -> float:
     arr = as_matrix(a)
     d = arr.shape[1]
     idx = check_subset(cols, d)
-    tol = rank_tolerance(arr)
+    tol = gram_spectrum(arr)[1]
     resid = _deflated(arr, idx, tol)[1]
     lhs = np.zeros(d + 1)
     chosen = set(idx)
@@ -340,7 +341,7 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
                                         float(np.linalg.det(symmetrize(sub.T @ sub)))))
     errors["det_factorization"] = det_err
 
-    ck = gram_det_sum(arr, k)
+    ck = _esym(eigs, k)
     errors["subset_det_sum_two_routes"] = _rel_err(ck, gram_det_sum_enumerated(arr, k))
 
     if t == d:

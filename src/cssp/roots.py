@@ -196,14 +196,6 @@ def _alternates(g: np.ndarray, n: np.ndarray, slack=None) -> np.ndarray:
     return (ok | (orders > n[:, None])).all(axis=1)
 
 
-def _tops(mu: np.ndarray, shared) -> np.ndarray:
-    """The top entry of each spectrum: each row of mu, ascending, with the
-    shared values of shared = (vals, mult), if given, ascending too."""
-    if shared is None or not shared[0].size:
-        return mu[:, -1]
-    return np.maximum(mu[:, -1], shared[0][-1])
-
-
 def _live_rows(mu: np.ndarray, power: int, noise: float, shared=None):
     """(live, top, deg, b, mult) of the spectra made of each row of mu and,
     with shared = (vals, mult) as :func:`_spectra` gives it, the values
@@ -212,10 +204,10 @@ def _live_rows(mu: np.ndarray, power: int, noise: float, shared=None):
     multiplicities), their top entries, and their entries over top, b: the
     row's own entries, then one column for each shared value above noise,
     a fold of multiplicity mult (see :func:`_taylor`)."""
-    top = _tops(mu, shared)
+    vals, mult = (None, ()) if shared is None else shared
+    top = np.maximum(mu[:, -1], vals[-1]) if len(mult) else mu[:, -1]
     b = np.where(mu > noise, mu, 0.0)
     deg = (b > 0.0).sum(axis=1) - power
-    vals, mult = (None, ()) if shared is None else shared
     if len(mult):
         keep = vals > noise
         vals, mult = vals[keep], mult[keep]
@@ -337,12 +329,10 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
     back-offs.  Raises CertificateViolation when a score cannot be
     certified.
     """
-    if power == 0:
-        top = _tops(mu, shared)
-        return np.where(top > noise, top, 0.0)
     scores = np.zeros(mu.shape[0])
     live, top, deg, b, mult = _live_rows(mu, power, noise, shared)
-    if not live.size:
+    if power == 0 or not live.size:
+        scores[live] = top
         return scores
 
     x, cap, drop = _anchored(b, power, deg, top, eps, t, tally, mult)

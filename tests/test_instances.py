@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cssp.instances import hard_instance, power_law, random_gaussian
-from cssp.linalg import gram, spectral_norm_sq, sym_eigenvalues
+from cssp.linalg import gram, gram_spectrum, sym_eigenvalues
 
 
 class TestHardInstance:
@@ -29,7 +29,7 @@ class TestHardInstance:
 class TestPowerLaw:
     def test_rank_one(self):
         a = power_law(5, 4, 1, 2.0, 3.0, 0)
-        assert spectral_norm_sq(a) == pytest.approx(3.0, rel=1e-10)
+        assert gram_spectrum(a)[0][0] == pytest.approx(3.0, rel=1e-10)
         assert np.linalg.matrix_rank(a) == 1
 
     def test_flat_spectrum(self):

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from cssp.errors import DegenerateDirection
 from cssp.instances import hard_instance, random_gaussian
 from cssp.linalg import (
     char_poly,
     complement_projector,
     gram,
     gram_spectrum,
-    numerical_rank,
-    projector_update,
-    rank_tolerance,
     residual_spectral_sq,
-    spectral_norm_sq,
     sym_eigenvalues,
     symmetrize,
 )
@@ -125,40 +120,6 @@ class TestCharPoly:
             assert np.max(np.abs(c - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
-class TestProjectorUpdate:
-    def test_single_direction(self):
-        assert np.allclose(projector_update(np.eye(2), [1.0, 0.0]), np.diag([0.0, 1.0]))
-
-    def test_uniform_direction(self):
-        q = projector_update(np.eye(3), [1.0, 1.0, 1.0])
-        assert np.allclose(q, np.eye(3) - np.ones((3, 3)) / 3.0)
-
-    def test_degenerate_direction(self):
-        with pytest.raises(DegenerateDirection):
-            projector_update(np.diag([0.0, 1.0]), [1.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="^vector length does not match projector dimension$"):
-            projector_update(np.eye(3), [1.0, 0.0])
-
-    def test_symmetry_idempotency_trace(self):
-        rng = np.random.default_rng(5)
-        for _ in range(15):
-            n = int(rng.integers(2, 10))
-            q = np.eye(n)
-            steps = int(rng.integers(1, n + 1))
-            for _ in range(steps):
-                b = rng.standard_normal(n)
-                before = np.trace(q)
-                try:
-                    q = projector_update(q, b)
-                except DegenerateDirection:
-                    continue
-                assert np.array_equal(q, q.T)
-                assert np.linalg.norm(q @ q - q) <= 1e-9 * n
-                assert abs(before - np.trace(q) - 1.0) <= 1e-8
-
-
 class TestResidual:
     def test_identity_single_column(self):
         assert residual_spectral_sq(np.eye(2), [0]) == pytest.approx(1.0)
@@ -170,7 +131,7 @@ class TestResidual:
     def test_empty_subset_is_squared_norm(self):
         rng = np.random.default_rng(6)
         a = random_matrix(rng, 4, 3)
-        assert residual_spectral_sq(a, []) == pytest.approx(spectral_norm_sq(a))
+        assert residual_spectral_sq(a, []) == pytest.approx(gram_spectrum(a)[0][0])
 
     def test_hard_instance_value(self):
         a = hard_instance(4, 1.0)
@@ -199,7 +160,7 @@ class TestResidual:
             size = int(rng.integers(0, d + 1))
             s = list(rng.choice(d, size=size, replace=False))
             q = complement_projector(a, s)
-            rank_s = numerical_rank(a[:, s]) if s else 0
+            rank_s = gram_spectrum(a[:, s])[0].size if s else 0
             assert abs(np.trace(q) - (n - rank_s)) <= 1e-8
             norm_sq = np.linalg.svd(q @ a, compute_uv=False)[0] ** 2
             ref = residual_spectral_sq(a, s)
@@ -230,7 +191,9 @@ class TestResidual:
         q = complement_projector(a, s)
         assert abs(np.trace(q) - (a.shape[0] - rank_s)) <= 1e-9
         mine = residual_spectral_sq(a, s)
-        assert abs(mine - svd_residual_sq(a, s)) <= 1e-12 * spectral_norm_sq(a)
+        # ||A||_2^2, 0 at rank zero
+        norm_sq = np.max(gram_spectrum(a)[0], initial=0.0)
+        assert abs(mine - svd_residual_sq(a, s)) <= 1e-12 * norm_sq
 
     def test_monotone_under_superset(self):
         rng = np.random.default_rng(8)
@@ -254,13 +217,13 @@ class TestResidual:
 
 class TestRank:
     def test_full_and_deficient(self):
-        assert numerical_rank(hard_instance(4, 1.0)) == 4
+        assert gram_spectrum(hard_instance(4, 1.0))[0].size == 4
         a = np.ones((5, 3))
-        assert numerical_rank(a) == 1
+        assert gram_spectrum(a)[0].size == 1
 
     def test_rank_tolerance_scales_with_norm(self):
         a = np.eye(3)
-        assert rank_tolerance(1000 * a) == pytest.approx(1000 * rank_tolerance(a))
+        assert gram_spectrum(1000 * a)[1] == pytest.approx(1000 * gram_spectrum(a)[1])
 
     def test_norm_with_infinite_square_rejected(self):
         assert gram_spectrum(np.array([[1.2e154]]))[0][0] == pytest.approx(1.44e308)
@@ -272,7 +235,7 @@ class TestRank:
         # to 0 raises instead of silently lowering the rank
         u, _, vt = np.linalg.svd(random_gaussian(6, 6, 1))
         graded = (u * np.array([1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14])) @ vt
-        assert numerical_rank(graded * 1e-140) == 6
+        assert gram_spectrum(graded * 1e-140)[0].size == 6
         for m in (graded * 1e-150, random_gaussian(6, 8, 3) * 1e-163):
             with pytest.raises(ValueError, match="below 2.22276e-162"):
                 gram_spectrum(m)

@@ -11,7 +11,7 @@ import cssp.polynomial
 from cssp.bounds import residual_bound, spectrum_of
 from cssp.errors import EmptySpectrum, NotFullColumnRank, RankExceeded, TooManySubsets
 from cssp.instances import hard_instance, power_law, random_gaussian
-from cssp.linalg import char_poly, gram, rank_tolerance, symmetrize
+from cssp.linalg import char_poly, gram, gram_spectrum, symmetrize
 from cssp.oracle import (
     IDENTITY_TOLERANCES,
     brute_force_best,
@@ -123,7 +123,7 @@ class TestDeterminants:
     def test_deflated_residual_matches_pinv_route(self, a, cols):
         # Q_S A from one rank-one update per column against svd_residual_sq's
         # A - A_S pinv(A_S) A, and the factored det(A_S^T A_S) against numpy's
-        det, resid = cssp.oracle._deflated(a, cols, rank_tolerance(a))
+        det, resid = cssp.oracle._deflated(a, cols, gram_spectrum(a)[1])
         sub = a[:, cols]
         assert np.max(np.abs(resid - (a - sub @ np.linalg.pinv(sub) @ a))) \
             <= 1e-12 * np.linalg.norm(a, 2)
@@ -279,6 +279,20 @@ def _scaled_copy(m, a):
     return bool(ratio > 0.0 and np.frexp(ratio)[0] == 0.5 and np.array_equal(m, a * ratio))
 
 
+def _svds_of(monkeypatch, a) -> list:
+    """A list that gains one entry per SVD numpy takes from then on: whether
+    its input is a scaled copy of a."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(m, *args, **kwargs):
+        calls.append(_scaled_copy(m, a))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 class TestIdentitySuite:
     # the power-law input is full rank, and its two lowest Gram polynomial
     # coefficients are 1.3e-14 and 1.7e-11 of the largest: none is noise
@@ -327,22 +341,36 @@ class TestIdentitySuite:
 
     def test_svd_count_independent_of_subset_count(self, monkeypatch):
         # each subset's residual comes from the factored determinant, not
-        # from a fresh SVD of A: C(10, 3) = 120 and C(10, 4) = 210 subsets
+        # from a fresh SVD of A: C(10, 3) = 120 and C(10, 4) = 210 subsets;
+        # the suite's spectrum, then one each for the expected polynomial,
+        # three weighted steps, alpha, the two Frobenius routes and the
+        # enumerated determinant sum
         a = random_gaussian(8, 10, 1)
-        svd = np.linalg.svd
-        calls = []
-
-        def counting_svd(m, *args, **kwargs):
-            calls.append(_scaled_copy(m, a))
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        calls = _svds_of(monkeypatch, a)
         counts = []
         for k in (3, 4):
             calls.clear()
             run_identity_suite(a, k)
             counts.append(sum(calls))
-        assert counts[0] == counts[1]
+        assert counts == [9, 9]
+
+    @pytest.mark.parametrize("name, args", [
+        ("expected_poly_bruteforce", (3,)),
+        ("gram_det_sum", (3,)),
+        ("gram_det_sum_enumerated", (3,)),
+        ("volume_mean_residual", ()),
+        ("expected_frobenius_residual", (3,)),
+        ("volume_mean_frobenius_enumerated", (3,)),
+        ("weighted_step_identity_error", ([0, 1],)),
+        ("gram_det_factored", ([0, 2, 4],)),
+        ("restricted_invertibility_pair", ([0, 2],)),
+    ])
+    def test_one_svd_of_the_input_per_routine(self, monkeypatch, name, args):
+        # each public routine reads its rank and tolerance from one spectrum
+        a = random_gaussian(6, 6, 1)
+        calls = _svds_of(monkeypatch, a)
+        getattr(cssp.oracle, name)(a, *args)
+        assert sum(calls) <= 1
 
     def test_restricted_invertibility_shares_the_suite_spectrum(self, monkeypatch):
         # the suite checks C(6, 2) = 15 and C(6, 3) = 20 subsets against one
@@ -374,7 +402,6 @@ class TestIdentitySuite:
 
     def test_restricted_invertibility_pair_from_shared_spectrum(self):
         import cssp.oracle as oracle_mod
-        from cssp.linalg import gram_spectrum
 
         a = random_gaussian(5, 5, 3)
         tol = gram_spectrum(a)[1]
