@@ -182,18 +182,14 @@ def _root_distances(g: np.ndarray, power: int, n: np.ndarray) -> tuple[np.ndarra
     return step, upper
 
 
-def _alternates(g: np.ndarray, n: np.ndarray, slack=None) -> np.ndarray:
+def _alternates(g: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Whether the Taylor data g of each row's degree-n polynomial, orders
-    0 .. n, strictly alternate in sign, each beyond its slack when given.
-    The orders are g's derivatives up to positive factors, so for a
-    real-rooted g this is Budan-Fourier's test that every root of g lies
-    above the point."""
+    0 .. n, strictly alternate in sign.  The orders are g's derivatives up
+    to positive factors, so for a real-rooted g this is Budan-Fourier's test
+    that every root of g lies above the point."""
     orders = np.arange(g.shape[1])
     signs = np.sign(g) * np.sign(g[:, :1]) * (-1.0) ** orders
-    ok = signs == 1.0
-    if slack is not None:
-        ok &= np.abs(g) > slack
-    return (ok | (orders > n[:, None])).all(axis=1)
+    return ((signs == 1.0) | (orders > n[:, None])).all(axis=1)
 
 
 def _live_rows(mu: np.ndarray, power: int, noise: float, shared=None):
@@ -272,11 +268,12 @@ def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     Budan-Fourier, with each coefficient's sign certain beyond its _ROUNDING
     bound, counted over the row's deg + power factors and one more for each
     fold (a zero column multiplies exactly, so adds no rounding).  All of
-    them above (:func:`_alternates`): x0 < x*, and the expansion is the
-    first Laguerre step.  Fewer, where two certain signs break the alternation: x* <= x0,
-    so the row keeps cap = x0, its score top / x* is at least top / x0 = t,
-    and it is bounded no further.  A row the count cannot decide runs from
-    1.  Nothing here depends on the other rows."""
+    them above, where orders 0 .. deg all have certain, alternating signs:
+    x0 < x*, and the expansion is the first Laguerre step.  Fewer, where two
+    certain signs break the alternation: x* <= x0, so the row keeps
+    cap = x0, its score top / x* is at least top / x0 = t, and it is bounded
+    no further.  A row the count cannot decide runs from 1.  Nothing here
+    depends on the other rows."""
     if t is None:
         return (*_laguerre(b, power, deg, top, eps, tally, None, None, mult),
                 np.zeros(top.size, dtype=bool))
@@ -287,10 +284,11 @@ def _anchored(b: np.ndarray, power: int, deg: np.ndarray, top: np.ndarray, eps: 
     if tally is not None:
         tally["steps"] += 1
     slack = (_ROUNDING * (deg + power + folds) + 10)[:, None] * MACHINE_EPS * sizes
-    above = _alternates(g, deg, slack)
     order = np.arange(orders)
+    # +-1 where an order's sign, times (-1)^order, is certain, 0 elsewhere
     certain = (np.abs(g) > slack) & (order <= deg[:, None])
     signs = np.where(certain, np.sign(g) * (-1.0) ** order, 0.0)
+    above = np.abs(signs.sum(axis=1)) == deg + 1
     drop = (signs.max(axis=1) > 0.0) & (signs.min(axis=1) < 0.0)
     if orders < 3:  # a linear g: orders above are 0
         g = np.pad(g, ((0, 0), (0, 3 - orders)))
@@ -317,8 +315,9 @@ def _root_scores(mu: np.ndarray, power: int, eps: float, noise: float, tally=Non
 
     In x = top * y, b = mu / top, the smallest root x* of g = D^power
     prod_j (1 - b_j x), a shared value a fold (see :func:`_live_rows`), is
-    at least 1 and the score is top / x*, with x from :func:`_laguerre`.  At z just left of x, strictly alternating Taylor
-    orders power .. r put every root of g above z (Budan-Fourier), so the
+    at least 1 and the score is top / x*, with x from :func:`_laguerre`.  At
+    z just left of x, strictly alternating Taylor orders power .. r
+    (:func:`_alternates`) put every root of g above z (Budan-Fourier), so the
     bounds of :func:`_root_distances` from z bracket x*, and both ends must
     score within the tolerance.  z backs off from x by the tolerance's share
     per root, but never by less than a few ulps of x, so that z < x.  A row

@@ -14,13 +14,15 @@ the sign of the secular function at grid points inside each interval,
 beyond its rounding bound, certifies a lower end of each eigenvalue; the
 ends are widened by twice the noise level, for eigh's backward error and
 exact scoring's.  The score increases with every eigenvalue, so the cap
-on the lower ends bounds it from below.  The candidate with the least
-bound is scored exactly, then the others whose bound is within the tie
-margin plus twice the score tolerance of that score; the winner, its root
-and the tie rule are those of scoring every candidate.  The bracket pass
-is skipped when all candidate matrices fit in one eigvalsh block, and
-after a fully scored iteration in which every candidate tied within that
-margin, where nothing can be pruned.
+on the lower ends bounds it from below: the candidate's floor.  Exact
+scoring starts from the candidate with the least floor, and each next
+call scores every unscored candidate whose floor is within the tie margin
+plus twice the score tolerance of the least score so far; the winner, its
+root and the tie rule are those of scoring every candidate.  The bracket
+pass is skipped, and scoring starts from every candidate, when all
+candidate matrices fit in one eigvalsh block, and after an iteration in
+which every candidate scored within that margin, where nothing can be
+pruned.
 
 Each iteration takes one eigh(B), B summed in one fixed order rather than
 by BLAS, whose sums change with its thread count, and one product that
@@ -86,9 +88,6 @@ class SelectionState:
     scale: float
     tol: float
     noise: float
-    # every candidate of the last fully scored iteration tied within the
-    # pruning margin, so the next iteration skips the bracket pass
-    tied: bool = False
 
     @property
     def iteration(self) -> int:
@@ -183,8 +182,6 @@ def _downdated(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     out /= -nu2
     out.reshape(out.shape[0], -1)[:, :: lam.size + 1] += lam  # the diagonals
     return out
-
-
 
 
 def _lower_spectra(z: np.ndarray, noise: float, lam: np.ndarray) -> np.ndarray:
@@ -321,24 +318,31 @@ def _margin(score: float, eps: float, tie: float) -> float:
     return tie + 2.0 * max(eps, 64.0 * MACHINE_EPS * score)
 
 
-def _pick(state: SelectionState, power: int, eps: float, tie: float,
-          t=None) -> tuple[int, float, IterationStats]:
-    """One iteration's winner, its score and counts: the smallest index among
-    the admissible candidates scoring within tie of the minimum.  Raises
+def _pick(state: SelectionState, power: int, eps: float, tie: float, t=None,
+          tied: bool = False) -> tuple[int, float, IterationStats, bool]:
+    """One iteration's winner, its score and counts, and whether every
+    candidate tied: the winner is the smallest index among the admissible
+    candidates scoring within tie of the minimum.  Raises
     AllCandidatesDegenerate when no candidate is admissible.
 
-    Unless the bracket pass is skipped (see the module docstring), the
-    candidate with the least certified lower bound is scored exactly first,
-    and then, in one call, every other candidate whose bound is within
-    :func:`_margin` of that score; no other candidate can tie the minimum.
-    One :func:`_basis` serves the bracket pass and exact scoring.
+    Exact scoring starts from the candidate with the least certified lower
+    bound, its floor, or from every candidate when the bracket pass is
+    skipped (see the module docstring): tied, the previous iteration's
+    verdict, skips it.  Each next call scores every unscored candidate whose
+    floor is within :func:`_margin` of the least score so far; no other
+    candidate can tie the minimum.  The margin grows with the score, so
+    after the leader's call and the survivors' nothing is left to score.
+    The verdict returned is whether every candidate scored within that
+    margin, where nothing can be pruned.  One :func:`_basis` serves the
+    bracket pass and exact scoring.
 
     t, above which no candidate can win while the score chain holds, starts
     the bracket pass's Laguerre runs (:func:`cssp.roots._anchored`) unless
-    its root count costs more than it saves (see :mod:`cssp.roots`).  A candidate
-    the count drops has a floor, and a score, of at least t: while the chain
-    holds it neither wins nor ties, and when the chain is broken the least
-    of these lower bounds is returned, which exceeds the chain bound.
+    its root count costs more than it saves (see :mod:`cssp.roots`).  A
+    candidate the count drops has a floor, and a score, of at least t: while
+    the chain holds it neither wins nor ties, and when the chain is broken
+    the least of these lower bounds is returned, which exceeds the chain
+    bound.
     """
     free = np.ones(state.e.shape[1], dtype=bool)
     free[state.chosen] = False
@@ -352,32 +356,26 @@ def _pick(state: SelectionState, power: int, eps: float, tie: float,
     count = cands.size
     lam, z = _basis(state.e)
     z = z[cands]
+    full = tied or count <= _BLOCK_BYTES // (8 * lam.size**2)
+    if full or 2 * (np.count_nonzero(lam > state.noise) - power + 1) > 3 * (power + 3):
+        t = None  # no bracket pass, or its count is longer than the steps it saves
     tally = Counter()
-    scores = np.full(count, np.inf)  # inf: pruned, not scored
-    todo = scored = np.ones(count, dtype=bool)
-    if not state.tied and count > _BLOCK_BYTES // (8 * lam.size**2):
-        if 2 * (np.count_nonzero(lam > state.noise) - power + 1) > 3 * (power + 3):
-            t = None  # the count is longer than the steps it saves
+    floors, todo = np.zeros(count), np.ones(count, dtype=bool)
+    if not full:
         floors = _score_floors(_lower_spectra(z, state.noise, lam), power, eps, state.noise,
                                tally, t)
-        first = int(np.argmin(floors))
-        mu, shared = _spectra(lam, z[first : first + 1], state.noise)
-        best = float(_root_scores(mu, power, eps, state.noise, tally, t, shared)[0])
-        scores[first] = best
-        scored = floors <= best + _margin(best, eps, tie)
-        scored[first] = True
-        todo = scored.copy()
-        todo[first] = False
-    else:
-        t = None
-    if todo.any():
+        todo = np.arange(count) == np.argmin(floors)
+    scores = np.full(count, np.inf)  # inf: pruned, not scored
+    while todo.any():
         mu, shared = _spectra(lam, z[todo], state.noise)
         scores[todo] = _root_scores(mu, power, eps, state.noise, tally, t, shared)
-    low = float(scores.min())
-    state.tied = bool(np.all(scores <= low + _margin(low, eps, tie)))
+        low = float(scores.min())
+        reach = low + _margin(low, eps, tie)
+        todo = np.isinf(scores) & (floors <= reach)
     pos = int(np.argmax(scores <= low + tie))
-    stats = IterationStats(count, int(np.count_nonzero(scored)), tally["steps"], tally["retries"])
-    return int(cands[pos]), float(scores[pos]), stats
+    stats = IterationStats(count, int(np.count_nonzero(np.isfinite(scores))), tally["steps"],
+                           tally["retries"])
+    return int(cands[pos]), float(scores[pos]), stats, bool(np.all(scores <= reach))
 
 
 def select(a, k: int, eps: float = DEFAULT_EPS) -> SelectionResult:
@@ -415,10 +413,11 @@ def _select(arr: np.ndarray, state: SelectionState, k: int, eps, start: float) -
     # the full spectrum's score heads the chain of winning scores
     roots_scaled = [float(_root_scores((eigs / scale)[None, ::-1], k, eps_s, state.noise)[0])]
     stats: list[IterationStats] = []
+    tied = False
     for l in range(1, k + 1):
         bound = roots_scaled[-1] + 2.0 * eps_s + tie
-        best_idx, best_val, counts = _pick(state, k - l, eps_s, tie,
-                                           bound + _margin(bound, eps_s, tie))
+        best_idx, best_val, counts, tied = _pick(state, k - l, eps_s, tie,
+                                                 bound + _margin(bound, eps_s, tie), tied)
         if best_val > bound:
             raise CertificateViolation(
                 f"score chain violated at iteration {l}: {best_val} > {roots_scaled[-1]} + 2*eps"
