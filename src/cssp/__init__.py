@@ -10,7 +10,6 @@ everything by brute force on small instances.
 from .bounds import (
     BoundReport,
     SpectrumInfo,
-    barrier_root_bound,
     gamma_factor,
     hard_instance_bounds,
     residual_bound,
@@ -36,7 +35,6 @@ from .errors import (
 from .instances import hard_instance, power_law, random_gaussian
 from .linalg import (
     char_poly,
-    complement_projector,
     gram,
     residual_spectral_sq,
     sym_eigenvalues,
@@ -61,7 +59,6 @@ from .oracle import (
 from .polynomial import (
     DEFAULT_EPS,
     RootApprox,
-    cauchy_bound,
     derivative,
     flip,
     maxroot,

@@ -151,25 +151,3 @@ def hard_instance_bounds(d: int, delta: float, k: int) -> tuple[float, float]:
     lower = d2 * (d + d2) / (k + d2)
     return float(upper), float(lower)
 
-
-def barrier_root_bound(roots_in_unit, k: int) -> float:
-    """Cap on the largest root of the k-th derivative of prod(x - b_i).
-
-    For roots b_i in [0, 1] with mean g and k >= g*t the largest root after
-    k derivatives is at most (sqrt(g k/t) + sqrt((1-g)(1-k/t)))^2.  Used as
-    the cross-check that reproduces :func:`residual_bound` through the
-    substituted polynomial route.
-    """
-    b = np.asarray(roots_in_unit, dtype=float).reshape(-1)
-    if b.size == 0:
-        raise ValueError("need at least one root")
-    if np.any(b < -1e-12) or np.any(b > 1.0 + 1e-12):
-        raise ValueError("roots must lie in [0, 1]")
-    t = b.size
-    g = float(np.mean(np.clip(b, 0.0, 1.0)))
-    k = int(k)
-    if k < g * t:
-        raise OutOfRegime(f"k={k} below mean-root threshold {g * t:.6g}")
-    ratio = min(k / t, 1.0)
-    val = np.sqrt(g * ratio) + np.sqrt((1.0 - g) * (1.0 - ratio))
-    return float(val * val)

@@ -128,17 +128,6 @@ def _span_basis(arr: np.ndarray, idx: list[int], rank: int, tol: float) -> np.nd
         del keep[dependent[0]]
 
 
-def complement_projector(a, subset, tol: float | None = None) -> np.ndarray:
-    """Projector I - B B^T onto the orthogonal complement of the selected
-    columns, B the QR basis of :func:`_span_basis` (tol defaults to the rank
-    tolerance of A)."""
-    arr = as_matrix(a)
-    idx = check_subset(subset, arr.shape[1])
-    eigs, rank_tol = gram_spectrum(arr)
-    basis = _span_basis(arr, idx, eigs.size, rank_tol if tol is None else tol)
-    return np.eye(arr.shape[0]) - basis @ basis.T
-
-
 def _residual_sq(arr: np.ndarray, idx: list[int], rank: int, tol: float) -> float:
     """sigma_max(A - B B^T A)^2 for the QR basis B of :func:`_span_basis`."""
     basis = _span_basis(arr, idx, rank, tol)

@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from cssp.linalg import MACHINE_EPS
+from cssp.linalg import MACHINE_EPS, _span_basis, as_matrix, check_subset, gram_spectrum
+
+
+def complement_projector(a, subset):
+    """Projector I - B B^T onto the orthogonal complement of the selected
+    columns, B the QR basis of `linalg._span_basis` under the rank
+    tolerance of A."""
+    arr = as_matrix(a)
+    idx = check_subset(subset, arr.shape[1])
+    eigs, tol = gram_spectrum(arr)
+    basis = _span_basis(arr, idx, eigs.size, tol)
+    return np.eye(arr.shape[0]) - basis @ basis.T
 
 
 def _projected(b, u):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cssp.bounds import (
-    barrier_root_bound,
     gamma_factor,
     hard_instance_bounds,
     residual_bound,
@@ -226,28 +225,11 @@ class TestHardInstanceBounds:
 
 
 class TestBarrierBound:
-    def test_zero_roots(self):
-        for k in (0, 3, 7):
-            assert barrier_root_bound([0.0] * 7, k) == pytest.approx(1 - k / 7)
-
-    def test_all_ones(self):
-        assert barrier_root_bound([1.0] * 5, 5) == pytest.approx(1.0)
-
-    def test_hard_instance_profile(self):
-        assert barrier_root_bound([1.0] + [0.0] * 9, 5) == pytest.approx(0.8)
-
-    def test_out_of_regime(self):
-        with pytest.raises(OutOfRegime):
-            barrier_root_bound([1.0] * 4, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="^need at least one root$"):
-            barrier_root_bound([], 1)
-        with pytest.raises(ValueError, match=r"^roots must lie in \[0, 1\]$"):
-            barrier_root_bound([2.0], 1)
-
     def test_recovers_residual_bound(self):
-        # the substituted-polynomial route must reproduce the main bound
+        # the substituted-polynomial route must reproduce the main bound: the
+        # Gram spectrum mapped into [0, 1] has roots b with mean g, and after k
+        # derivatives the largest root is at most
+        # (sqrt(g k/t) + sqrt((1 - g)(1 - k/t)))^2
         rng = np.random.default_rng(2)
         for _ in range(40):
             t = int(rng.integers(2, 10))
@@ -260,5 +242,7 @@ class TestBarrierBound:
             for k in range(1, t):
                 if not info.beta * t <= k < t:
                     continue
-                via = 1.0 / (1 / lamt - (1 / lamt - 1 / lam1) * barrier_root_bound(b, k))
+                g, ratio = np.mean(b), k / t
+                cap = (np.sqrt(g * ratio) + np.sqrt((1 - g) * (1 - ratio))) ** 2
+                via = 1.0 / (1 / lamt - (1 / lamt - 1 / lam1) * cap)
                 assert via == pytest.approx(residual_bound(info, k).bound, rel=1e-10)

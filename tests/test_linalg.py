@@ -4,13 +4,13 @@ import pytest
 from cssp.instances import hard_instance, random_gaussian
 from cssp.linalg import (
     char_poly,
-    complement_projector,
     gram,
     gram_spectrum,
     residual_spectral_sq,
     sym_eigenvalues,
     symmetrize,
 )
+from helpers import complement_projector
 
 
 def random_matrix(rng, n, d):

@@ -305,9 +305,14 @@ class TestIdentitySuite:
         *[(f * random_gaussian(6, 6, 1), 3) for f in (100.0, 1e4, 2.0**20, 1e8)],
         (1e3 * random_gaussian(8, 10, 1), 4),
         *[(f * power_law(8, 8, 8, 3, 1, 1), 5) for f in (100.0, 1e8)],
+        # ranks 1 and 2: a subset of rank columns leaves Q_S A at rounding noise
+        (random_gaussian(1, 5, 1), 1),
+        (random_gaussian(2, 6, 1), 1),
+        (random_gaussian(2, 6, 1), 2),
+        (power_law(8, 8, 2, 2, 1, 1), 1),
     ], ids=["random6x6", "wide4x7", "power8-k5", "power8-k7", "random6x6-x100", "random6x6-x1e4",
             "random6x6-x2^20", "random6x6-x1e8", "wide8x10-x1e3", "power8-k5-x100",
-            "power8-k5-x1e8"])
+            "power8-k5-x1e8", "rank1-1x5", "rank2-2x6-k1", "rank2-2x6-k2", "power8-rank2-k1"])
     def test_identities_within_tolerance(self, a, k):
         report = run_identity_suite(a, k)
         for name, err in report.identity_errors.items():

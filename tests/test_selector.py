@@ -8,10 +8,11 @@ from cssp.bounds import residual_bound, spectrum_of
 from cssp.errors import (AllCandidatesDegenerate, CertificateViolation, DegenerateDirection,
                          RankExceeded)
 from cssp.instances import hard_instance, power_law, random_gaussian
-from cssp.linalg import MACHINE_EPS, char_poly, gram, gram_spectrum, residual_spectral_sq
+from cssp.linalg import (MACHINE_EPS, char_poly, gram, gram_spectrum, residual_spectral_sq,
+                         symmetrize)
 from cssp.polynomial import maxroot, polar_power
 from cssp.selector import candidate_score, initial_state, select
-from helpers import _projected
+from helpers import _projected, complement_projector
 
 
 def _rank_deficient(n, d, r, seed):
@@ -55,8 +56,6 @@ class TestCandidateScore:
             1e-9,
         )
         # direct route: residual polynomial of column 0 under the operator
-        from cssp.linalg import complement_projector, symmetrize
-
         q = complement_projector(a, [0])
         p = char_poly(symmetrize(a.T @ q @ a))
         direct = maxroot(polar_power(p, 1), 1e-9).value
@@ -338,7 +337,6 @@ class TestStateConsistency:
         # the incrementally projected residual factor must track a
         # from-scratch rebuild of the residual Gram matrix A^T Q_S A
         # through a whole selection run
-        from cssp.linalg import complement_projector
         from cssp.selector import _advance
 
         for seed, (n, d) in enumerate(((7, 7), (7, 7), (12, 7))):
@@ -527,7 +525,6 @@ class TestBatchedScores:
         ids=["tall", "square", "wide", "rank-deficient"],
     )
     def test_match_char_poly_route(self, a):
-        from cssp.linalg import complement_projector, symmetrize
         from cssp.selector import _advance
 
         eps = 1e-9
