@@ -7,8 +7,8 @@ cross-checked between a factored product and numpy, and the operator
 identity is tested against a literal weighted subset sum.  Each subset's
 residual Q_S A comes from the rank-one updates of its factored determinant,
 one per column under one rank tolerance of A, in O(n d) memory: no n x n
-projector and no SVD of A per subset.  Each public routine reads rank and
-tolerance from at most one `gram_spectrum` of its input.
+projector and no SVD of A per subset.  Every rank and tolerance comes from
+one `gram_spectrum`: of the input, or of its rescaled copy in the suite.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import spectrum_info
 from .errors import EmptySpectrum, NotFullColumnRank, TooManySubsets
 from .linalg import (
+    MACHINE_EPS,
     _check_rank,
     _unit_exponent,
     as_matrix,
@@ -53,8 +54,6 @@ IDENTITY_TOLERANCES = {
 class OracleReport:
     best_subset: list[int]
     best_residual_sq: float
-    expected_poly: np.ndarray
-    ck: float
     identity_errors: dict
 
 
@@ -90,7 +89,7 @@ def svd_residual_sq(a, cols) -> float:
     cols = list(cols)
     if cols:
         sub = arr[:, cols]
-        resid = arr - sub @ np.linalg.pinv(sub) @ arr
+        resid = arr - sub @ (np.linalg.pinv(sub) @ arr)
     else:
         resid = arr
     return float(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
@@ -99,7 +98,8 @@ def svd_residual_sq(a, cols) -> float:
 def brute_force_best(a, k: int):
     """Exact optimum over all k-subsets: (subset, squared residual).
 
-    Ties resolve to the lexicographically smallest subset.
+    Residuals within 16 eps ||A||_F^2 of the least one tie, and ties
+    resolve to the lexicographically smallest subset, not by rounding.
     """
     arr = as_matrix(a)
     d = arr.shape[1]
@@ -107,11 +107,13 @@ def brute_force_best(a, k: int):
     if not 0 <= k <= d:
         raise ValueError("need 0 <= k <= d")
     _require_enumerable(d, k)
-    best = min((svd_residual_sq(arr, s), s) for s in itertools.combinations(range(d), k))
-    return list(best[1]), float(best[0])
+    scored = [(svd_residual_sq(arr, s), s) for s in itertools.combinations(range(d), k)]
+    e = int(np.frexp(np.max(np.abs(arr)))[1])  # summed on 2^-e A, where no square overflows
+    cutoff = min(scored)[0] + np.ldexp(16 * MACHINE_EPS * np.sum(np.ldexp(arr, -e) ** 2), 2 * e)
+    return next((list(s), res) for res, s in scored if res <= cutoff)
 
 
-def gram_det_factored(a, cols, tol: float | None = None) -> float:
+def gram_det_factored(a, cols) -> float:
     """det(A_S^T A_S) as a product of squared projected-column norms.
 
     Each accepted column multiplies in the squared norm of its component
@@ -121,7 +123,7 @@ def gram_det_factored(a, cols, tol: float | None = None) -> float:
     """
     arr = as_matrix(a)
     idx = check_subset(cols, arr.shape[1])
-    return _deflated(arr, idx, gram_spectrum(arr)[1] if tol is None else tol)[0]
+    return _deflated(arr, idx, gram_spectrum(arr)[1])[0]
 
 
 def _deflated(resid: np.ndarray, idx, tol: float) -> tuple[float, np.ndarray]:
@@ -294,19 +296,20 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
 
     Pass/fail thresholds live in IDENTITY_TOLERANCES; callers compare.  The
     checks run on 2^-m A, 4^-m lam_1 in [1/2, 2] as in select's
-    initial_state, with eps and the rank tolerance scaled alike: the
-    coefficient errors and the absolute eps weigh terms of different
-    sizes, so on the input scale they would depend on it.  The optimum, ck
-    and the expected polynomial are scaled back exactly.
+    initial_state, with eps scaled alike and the spectrum and rank
+    tolerance taken from 2^-m A: the coefficient errors and the absolute
+    eps weigh terms of different sizes, so on the input scale they would
+    depend on it.  Only the optimum is scaled back, exactly.
     """
     arr = as_matrix(a)
     d = arr.shape[1]
     k = int(k)
+    eigs, _ = gram_spectrum(arr)
+    _check_rank(k, eigs.size)
+    m = _unit_exponent(eigs[0])
+    arr = np.ldexp(arr, -m)
     eigs, tol = gram_spectrum(arr)
     t = eigs.size
-    _check_rank(k, t)
-    m = _unit_exponent(eigs[0])
-    arr, eigs, tol = np.ldexp(arr, -m), np.ldexp(eigs, -2 * m), np.ldexp(tol, -m)
     # eps alike, its exponent capped below the double range
     eps = float(np.ldexp(eps, min(-2 * m, 1022 - int(np.frexp(eps)[1]))))
     errors: dict[str, float] = {}
@@ -330,19 +333,18 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
 
     kk = min(k, t - 1)
     errors["frobenius_expectation"] = _rel_err(
-        expected_frobenius_residual(arr, kk),
+        (kk + 1) * _esym(eigs, kk + 1) / _esym(eigs, kk),
         volume_mean_frobenius_enumerated(arr, kk),
     )
 
     det_err = 0.0
     for s in itertools.islice(itertools.combinations(range(d), k), 64):
         sub = arr[:, list(s)]
-        det_err = max(det_err, _rel_err(gram_det_factored(arr, s, tol),
+        det_err = max(det_err, _rel_err(_deflated(arr, s, tol)[0],
                                         float(np.linalg.det(symmetrize(sub.T @ sub)))))
     errors["det_factorization"] = det_err
 
-    ck = _esym(eigs, k)
-    errors["subset_det_sum_two_routes"] = _rel_err(ck, gram_det_sum_enumerated(arr, k))
+    errors["subset_det_sum_two_routes"] = _rel_err(_esym(eigs, k), gram_det_sum_enumerated(arr, k))
 
     if t == d:
         ri_err = 0.0
@@ -361,8 +363,5 @@ def run_identity_suite(a, k: int, eps: float = DEFAULT_EPS) -> OracleReport:
     return OracleReport(
         best_subset=best_subset,
         best_residual_sq=float(np.ldexp(best_res, 2 * m)),
-        # coefficient i sums k determinants times d - i roots
-        expected_poly=np.ldexp(expected, 2 * m * (k + d - np.arange(d + 1))),
-        ck=float(np.ldexp(ck, 2 * k * m)),
         identity_errors=errors,
     )
